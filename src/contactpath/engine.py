@@ -9,7 +9,10 @@ the raw data.
 
 Symbolic work happens on polynomial components whenever the spec allows it
 and falls back to expression trees otherwise; pointwise reductions are exact
-on rational data and QR/SVD-based with tolerance 1e-9 on floats.
+on rational data and QR/SVD-based with tolerance 1e-9 on floats.  At float
+points a polynomial geometry evaluates its fields through monomial tables,
+built once per geometry on first use (`Geometry.eval_fields`); other
+geometries walk their trees.
 """
 
 import json
@@ -29,6 +32,7 @@ from .errors import (
 from .exactlinalg import inverse as exact_inverse
 from .exactlinalg import rank as exact_rank
 from .graded_sp import standard_omega
+from .lowering import MonomialTable
 from .poly import Polynomial
 
 RANK_TOL = 1e-9
@@ -352,6 +356,19 @@ class Geometry:
         vals = field.evaluate(self.chart, point)
         return np.array([float(v) for v in vals])
 
+    def eval_fields(self, key, fields, point):
+        """The (dim, k) matrix of the fields' (or one-forms') values at a
+        float point.  A polynomial geometry lowers `fields` to a monomial
+        table on the first call with `key` and reuses it for every later
+        point; each key must always name the same fields.  Other geometries
+        walk the trees with `eval_field`."""
+        if not self.polynomial:
+            return np.column_stack([self.eval_field(f, point) for f in fields])
+        table = self._cache.get(("table", key))
+        if table is None:
+            table = self._cache[("table", key)] = MonomialTable(self.chart.names, fields)
+        return table(point)
+
     def c_value(self, point):
         return float(self.spec.C.evaluate(point))
 
@@ -513,14 +530,15 @@ def torsion_point_reduction(spec, point):
                 raise DegeneratePointError("double bracket not in the tangent span")
             out.append(coeffs[len(span_fields)])
         return out
-    cols = [geo.eval_field(f, point) for f in span_fields + tail]
-    mat = np.column_stack(cols)
+    brackets = [geo.double_bracket(i) for i in range(1, geo.m + 1)]
+    vals = geo.eval_fields("reduction", span_fields + tail + brackets, point)
+    width = len(span_fields) + len(tail)
+    mat = vals[:, :width]
     if np.linalg.matrix_rank(mat[:, : len(span_fields)], tol=RANK_TOL) != 4 * geo.n - 6:
         raise DegeneratePointError("reduction span lost rank (C vanishes here?)")
     out = []
-    for i in range(1, geo.m + 1):
-        b = geo.eval_field(geo.double_bracket(i), point)
-        coeffs, *_ = np.linalg.lstsq(mat, b, rcond=None)
+    for i in range(geo.m):
+        coeffs, *_ = np.linalg.lstsq(mat, vals[:, width + i], rcond=None)
         out.append(float(coeffs[len(span_fields)]))
     return out
 
@@ -586,10 +604,11 @@ class RankTable:
         )
 
 
-def _nrank(vectors, tol=RANK_TOL):
-    if not vectors:
+def _nrank(mat, tol=RANK_TOL):
+    """Numeric rank of the span of a (dim, k) matrix's columns."""
+    if not mat.shape[1]:
         return 0
-    return int(np.linalg.matrix_rank(np.column_stack(vectors), tol=tol))
+    return int(np.linalg.matrix_rank(mat, tol=tol))
 
 
 def filtration_ranks(spec, point, tol=RANK_TOL):
@@ -599,11 +618,13 @@ def filtration_ranks(spec, point, tol=RANK_TOL):
         raise DegeneratePointError("C vanishes at the requested point")
     fpoint = {k: float(v) for k, v in point.items()}
     fields = geo.filtration_fields()
-    vals = {
-        key: [geo.eval_field(f, fpoint) for f in flist]
-        for key, flist in fields.items()
-    }
-    return RankTable(**{key: _nrank(v, tol) for key, v in vals.items()})
+    vals = geo.eval_fields("filtration", [f for flist in fields.values() for f in flist], fpoint)
+    ranks = {}
+    start = 0
+    for key, flist in fields.items():
+        ranks[key] = _nrank(vals[:, start:start + len(flist)], tol)
+        start += len(flist)
+    return RankTable(**ranks)
 
 
 def semiregular_ranks(spec, point, tol=RANK_TOL):
@@ -633,21 +654,17 @@ def semiregular_ranks(spec, point, tol=RANK_TOL):
                 level3.append(fm.lie_bracket(gi, h))
         geo._cache[key] = (level1, level2, level3)
     spans = geo._cache[key]
-    return tuple(
-        _nrank([geo.eval_field(f, fpoint) for f in span], tol) for span in spans
-    )
+    # each level extends the one before it
+    vals = geo.eval_fields(key, spans[-1], fpoint)
+    return tuple(_nrank(vals[:, :len(span)], tol) for span in spans)
 
 
 def vertical_escape(spec, point, tol=RANK_TOL):
     """True when T(0,-2) is not contained in the span of A_i, X, [A_i, X]."""
     geo = geometry(spec)
     fpoint = {k: float(v) for k, v in point.items()}
-    A = [geo.eval_field(geo.a_field(i), fpoint) for i in range(1, geo.m + 1)]
-    X = geo.eval_field(geo.x_hat(), fpoint)
-    AX = [geo.eval_field(geo.ai_xhat(i), fpoint) for i in range(1, geo.m + 1)]
-    T02 = geo.eval_field(geo.frame["T(0,-2)"], fpoint)
-    base = A + [X] + AX
-    return _nrank(base + [T02], tol) == _nrank(base, tol) + 1
+    vals = geo.eval_fields("escape", _partial_uw_fields(geo) + [geo.frame["T(0,-2)"]], fpoint)
+    return _nrank(vals, tol) == _nrank(vals[:, :-1], tol) + 1
 
 
 # --- symplectic structure on E-perp ------------------------------------------------
@@ -679,15 +696,15 @@ def skew_complement_W(spec, point, r, s, tol=RANK_TOL):
     fpoint = {k: float(v) for k, v in point.items()}
     dbeta_mat = geo.dbeta_matrix(r, s)
     fields = _eperp_fields(geo)
-    field_mat = np.column_stack([geo.eval_field(f, fpoint) for f in fields])
+    field_mat = geo.eval_fields("e_perp", fields, fpoint)
     gram = field_mat.T @ dbeta_mat @ field_mat
     size = len(fields)
     nondeg = np.linalg.matrix_rank(gram, tol=tol) == size
     # X coordinates in the E-perp basis are read off the normalized data
     xi = np.zeros(size)
     for p in range(1, geo.m + 1):
-        xi[p - 1] = float(_eval_ring(geo.f_hat[p - 1], fpoint))
-    xi[geo.m] = float(_eval_ring(geo.f0_hat, fpoint))
+        xi[p - 1] = float(geo.f_hat[p - 1].evaluate(fpoint))
+    xi[geo.m] = float(geo.f0_hat.evaluate(fpoint))
     xi[geo.m + 1] = 1.0
     functional = xi @ gram
     kernel = _nullspace_numeric(functional.reshape(1, -1), tol)
@@ -707,12 +724,6 @@ def skew_complement_W(spec, point, r, s, tol=RANK_TOL):
     return SkewComplementReport(bool(nondeg), tuple(basis_vectors), lagrangian, bool(same))
 
 
-def _eval_ring(r, point):
-    if isinstance(r, Polynomial):
-        return r.evaluate(point)
-    return r.evaluate(point)
-
-
 def _nullspace_numeric(mat, tol):
     _, sing, vt = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.sum(sing > tol * max(mat.shape) * (sing[0] if len(sing) else 1.0)))
@@ -728,14 +739,20 @@ def _same_span(a, b, tol):
     return ra == rb == rc
 
 
+def _partial_uw_fields(geo):
+    """A_i, X and [A_i, X]: the bracket closure of U and the generating line."""
+    return (
+        [geo.a_field(i) for i in range(1, geo.m + 1)]
+        + [geo.x_hat()]
+        + [geo.ai_xhat(i) for i in range(1, geo.m + 1)]
+    )
+
+
 def partial_uw_vectors(spec, point):
     """Chart vectors spanning the bracket closure of U and the generating line."""
     geo = geometry(spec)
     fpoint = {k: float(v) for k, v in point.items()}
-    A = [geo.eval_field(geo.a_field(i), fpoint) for i in range(1, geo.m + 1)]
-    X = geo.eval_field(geo.x_hat(), fpoint)
-    AX = [geo.eval_field(geo.ai_xhat(i), fpoint) for i in range(1, geo.m + 1)]
-    return A + [X] + AX
+    return list(geo.eval_fields("partial_uw", _partial_uw_fields(geo), fpoint).T)
 
 
 def spans_equal(vectors_a, vectors_b, tol=RANK_TOL):
@@ -763,20 +780,16 @@ def secondary_torsion(spec, point, tol=RANK_TOL, seed=42):
     fpoint = {k: float(v) for k, v in point.items()}
     if abs(geo.c_value(fpoint)) < tol:
         raise DegeneratePointError("C vanishes at the requested point")
-    A = [geo.eval_field(geo.a_field(i), fpoint) for i in range(1, geo.m + 1)]
-    X = geo.eval_field(geo.x_hat(), fpoint)
-    AX = [geo.eval_field(geo.ai_xhat(i), fpoint) for i in range(1, geo.m + 1)]
-    T02 = geo.eval_field(geo.frame["T(0,-2)"], fpoint)
-    Tm1m2 = geo.eval_field(geo.frame["T(-1,-2)"], fpoint)
-    Tm2m2 = geo.eval_field(geo.frame["T(-2,-2)"], fpoint)
-    cols = A + [X] + AX + [T02, Tm1m2, Tm2m2]
-    mat = np.column_stack(cols)
+    cols = _partial_uw_fields(geo) + [geo.frame[k] for k in ("T(0,-2)", "T(-1,-2)", "T(-2,-2)")]
+    brackets = [geo.secondary_bracket(i) for i in range(1, geo.m + 1)]
+    vals = geo.eval_fields("secondary", cols + brackets, fpoint)
+    mat = vals[:, :len(cols)]
     if np.linalg.matrix_rank(mat, tol=tol) != 4 * geo.n - 4:
         raise DegeneratePointError("tangent basis lost rank at the point")
     out = []
     scale = max(1.0, float(np.max(np.abs(mat))))
-    for i in range(1, geo.m + 1):
-        b = geo.eval_field(geo.secondary_bracket(i), fpoint)
+    for i in range(geo.m):
+        b = vals[:, len(cols) + i]
         coeffs = np.linalg.solve(mat, b)
         leak = max(abs(coeffs[-2]), abs(coeffs[-1]))
         if leak > 1e-6 * scale * max(1.0, float(np.max(np.abs(b)))):
@@ -801,8 +814,7 @@ def characteristic_system_test(spec, point, tol=1e-9, seed=42):
         )
     geo = geometry(spec)
     fpoint = {k: float(v) for k, v in point.items()}
-    nu = geo.nu_form()
-    nu_vals = np.array([float(v) for v in nu.evaluate(geo.chart, fpoint)])
+    nu_vals = geo.eval_fields("nu", [geo.nu_form()], fpoint)[:, 0]
     vectors = partial_uw_vectors(spec, point)
     worst = 0.0
     for v in vectors:
@@ -836,7 +848,9 @@ def _u_frame(geo):
 
 
 def _adapted_frame_data(geo):
-    """Per-spec cache: adapted frame, pairwise bracket fields, model constants."""
+    """Per-spec cache: adapted frame, pairwise bracket fields, model constants,
+    the frame and bracket fields as one list, and per filtration level the
+    positions in that list of the frame fields spanning it."""
     if "adapted" in geo._cache:
         return geo._cache["adapted"]
     from .graded_sp import GradedLieAlgebra
@@ -861,7 +875,12 @@ def _adapted_frame_data(geo):
             bracket_field = fm.lie_bracket(u_fields[na], u_fields[nb])
             constants = algebra.bracket_names(na, nb)
             pairs.append((na, nb, level, bracket_field, constants))
-    geo._cache["adapted"] = (u_fields, pairs)
+    fields = list(u_fields.values()) + [pair[3] for pair in pairs]
+    col = {nm: j for j, nm in enumerate(names)}
+    levels = {-1: [col[nm] for nm in names if nm.startswith("a")] + [col["t(-1,0)"]]}
+    levels[-2] = levels[-1] + [col["t(0,-2)"]] + [col[nm] for nm in names if nm.startswith("e")]
+    levels[-3] = levels[-2] + [col["t(-1,-2)"]]
+    geo._cache["adapted"] = (u_fields, pairs, fields, levels)
     return geo._cache["adapted"]
 
 
@@ -875,29 +894,23 @@ def adapted_frame_check(spec, point, tol=1e-9):
     geo = geometry(spec)
     fpoint = {k: float(v) for k, v in point.items()}
     report = contact_torsion(spec)
-    tau_vals = [abs(float(_eval_ring(t, fpoint))) for t in report.tau_ring]
+    tau_vals = [abs(float(t.evaluate(fpoint))) for t in report.tau_ring]
     if max(tau_vals, default=0.0) > 1e-9:
         raise TorsionPreconditionError(
             "adapted frame is defined only where the contact torsion vanishes"
         )
-    u_fields, pairs = _adapted_frame_data(geo)
-    names = list(u_fields)
-    u_vals = {nm: geo.eval_field(f, fpoint) for nm, f in u_fields.items()}
+    u_fields, pairs, fields, levels = _adapted_frame_data(geo)
+    vals = geo.eval_fields("adapted", fields, fpoint)
+    col = {nm: j for j, nm in enumerate(u_fields)}
     # filtration spans at the point, by level
-    t_levels = {
-        -1: [u_vals[nm] for nm in names if nm.startswith("a")] + [u_vals["t(-1,0)"]],
-    }
-    t_levels[-2] = t_levels[-1] + [u_vals["t(0,-2)"]] + [
-        u_vals[nm] for nm in names if nm.startswith("e")
-    ]
-    t_levels[-3] = t_levels[-2] + [u_vals["t(-1,-2)"]]
+    spans = {level: vals[:, idx] for level, idx in levels.items()}
     residuals = {}
     worst = 0.0
-    for na, nb, level, bracket_field, constants in pairs:
-        gvals = geo.eval_field(bracket_field, fpoint)
+    for j, (na, nb, level, _, constants) in enumerate(pairs, start=len(u_fields)):
+        gvals = vals[:, j]
         for tgt, c in constants.items():
-            gvals = gvals - float(c) * u_vals[tgt]
-        span = np.column_stack(t_levels[max(level + 1, -3)])
+            gvals = gvals - float(c) * vals[:, col[tgt]]
+        span = spans[max(level + 1, -3)]
         if np.linalg.norm(gvals) > 0:
             sol, *_ = np.linalg.lstsq(span, gvals, rcond=None)
             res = float(np.linalg.norm(span @ sol - gvals))
@@ -920,7 +933,7 @@ def torsion_obstruction_values(spec, point):
     out = []
     for i in range(1, geo.m + 1):
         val = th.pair(geo.double_bracket(i))
-        out.append(float(_eval_ring(val, fpoint)))
+        out.append(float(val.evaluate(fpoint)))
     return out
 
 

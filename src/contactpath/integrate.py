@@ -5,10 +5,14 @@ The integral curves satisfy
     x_inf' = C,  x_alpha' = u_alpha C,  z' = C (x0 - u0 x_inf + omega_pq u^p x^q),
     u^p' = f^p,  u^0' = f^0 + omega_pq f^p u^q,
 
-and conserve the contact pairing along exact solutions.  The per-sample
-residual columns are computed after the fact from a five-point finite
-difference estimate of the velocity, so they converge at the same fourth
-order as the scheme itself.
+and conserve the contact pairing along exact solutions.  The right-hand side
+is lowered once per path to straight-line float code (`lowering`), bitwise
+equal to walking the spec's expression trees.  A fixed step makes four
+right-hand-side calls: the call at the new state, which checks that C has
+not vanished, is the next step's first stage.  The per-sample residual
+columns are computed after the fact, for all samples at once, from a
+five-point finite difference estimate of the velocity, so they converge at
+the same fourth order as the scheme itself.
 """
 
 import csv
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularArcError
+from .lowering import compile_exprs
 
 
 @dataclass
@@ -44,129 +49,110 @@ class Trajectory:
         try:
             writer = csv.writer(fh)
             writer.writerow(self.header())
-            for k in range(len(self.t)):
-                row = [repr(float(self.t[k]))]
-                row += [repr(float(v)) for v in self.states[k]]
-                row.append(repr(float(self.contact_residual[k])))
-                row.append(repr(float(self.secondary_residual[k])))
-                writer.writerow(row)
+            table = np.column_stack([self.t, self.states, self.contact_residual,
+                                     self.secondary_residual])
+            writer.writerows([repr(v) for v in row.tolist()] for row in table)
         finally:
             if close:
                 fh.close()
 
 
 def _compile_rhs(spec):
-    chart = spec.chart()
-    names = chart.names
+    """The generating field's right-hand side, lowered once: `rhs(state)`
+    returns the derivative and the value of C at `state`."""
+    names = spec.chart().names
     m = spec.m
-    om = [[float(x) for x in row] for row in spec.omega]
-    c_fn = spec.C.evaluate
-    f0_fn = spec.f0.evaluate
-    f_fns = [e.evaluate for e in spec.f]
     ix = {nm: i for i, nm in enumerate(names)}
-    i_t = ix["t"]
-    i_x = [ix["x0"]] + [ix[f"x{i}"] for i in range(1, m + 1)]
-    i_z = ix["z"]
-    i_u = [ix["u0"]] + [ix[f"u{i}"] for i in range(1, m + 1)]
+    i_t, i_x0, i_z, i_u0 = ix["t"], ix["x0"], ix["z"], ix["u0"]
+    i_x = [ix[f"x{p}"] for p in range(1, m + 1)]
+    i_u = [ix[f"u{p}"] for p in range(1, m + 1)]
+    # the nonzero omega_pq in (p, q) order, with the slots their terms read
+    omega = [(float(w), p, q) for p, row in enumerate(spec.omega) for q, w in enumerate(row) if w]
+    z_terms = [(w, i_u[p], i_x[q]) for w, p, q in omega]
+    u0_terms = [(w, p, i_u[q]) for w, p, q in omega]
+    values = compile_exprs([spec.C, spec.f0, *spec.f], names)
+    # a constant C is returned exact, as the tree walk gives it, for the
+    # comparison against c_min
+    c_exact = values.constants[0]
+    dim = len(names)
 
     def rhs(state):
-        env = {nm: state[ix[nm]] for nm in names}
-        c = c_fn(env)
-        f0 = f0_fn(env)
-        fs = [fn(env) for fn in f_fns]
-        out = np.zeros(len(names))
+        s = state.tolist()
+        c, f0, *fs = values(s)
+        out = [0.0] * dim
         out[i_t] = c
-        out[i_x[0]] = env["u0"] * c
-        for p in range(1, m + 1):
-            out[i_x[p]] = env[f"u{p}"] * c
-        acc = env["x0"] - env["u0"] * env["t"]
-        for p in range(1, m + 1):
-            for q in range(1, m + 1):
-                if om[p - 1][q - 1]:
-                    acc += om[p - 1][q - 1] * env[f"u{p}"] * env[f"x{q}"]
+        u0 = s[i_u0]
+        out[i_x0] = u0 * c
+        for ixp, iup in zip(i_x, i_u):
+            out[ixp] = s[iup] * c
+        acc = s[i_x0] - u0 * s[i_t]
+        for w, iup, ixq in z_terms:
+            acc += w * s[iup] * s[ixq]
         out[i_z] = c * acc
         du0 = f0
-        for p in range(1, m + 1):
-            for q in range(1, m + 1):
-                if om[p - 1][q - 1]:
-                    du0 += om[p - 1][q - 1] * fs[p - 1] * env[f"u{q}"]
-        out[i_u[0]] = du0
-        for p in range(1, m + 1):
-            out[i_u[p]] = fs[p - 1]
-        return out, c
+        for w, p, iuq in u0_terms:
+            du0 += w * fs[p] * s[iuq]
+        out[i_u0] = du0
+        for iup, fp in zip(i_u, fs):
+            out[iup] = fp
+        return np.array(out, dtype=float), c if c_exact is None else c_exact
 
     return rhs
 
 
-def _rk4_step(rhs, state, h):
-    k1, c = rhs(state)
+def _rk4_step(rhs, state, h, first=None):
+    """One classical step; `first` is rhs(state) when the caller has it."""
+    k1, c = rhs(state) if first is None else first
     k2, _ = rhs(state + 0.5 * h * k1)
     k3, _ = rhs(state + 0.5 * h * k2)
     k4, _ = rhs(state + h * k3)
     return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), c
 
 
-def _fd_weights(ts, t0):
-    """Derivative weights at t0 for Lagrange interpolation through nodes ts."""
-    k = len(ts)
-    weights = np.zeros(k)
-    for i in range(k):
-        # derivative of the i-th Lagrange basis polynomial at t0
-        total = 0.0
-        denom = 1.0
-        for j in range(k):
+def _residuals(spec, ts, states):
+    """Contact pairings of the finite-difference velocity, per sample.
+
+    Each sample's velocity is the derivative at its time of the Lagrange
+    interpolant through the five nearest samples, evaluated for all samples
+    at once."""
+    npts = len(ts)
+    if npts < 5:
+        return np.zeros(npts), np.zeros(npts)
+    lo = np.minimum(np.maximum(np.arange(npts) - 2, 0), npts - 5)
+    nodes = lo[:, None] + np.arange(5)
+    T = ts[nodes]
+    W = np.zeros((npts, 5))
+    for i in range(5):
+        # derivative at ts of the i-th Lagrange basis polynomial
+        total = np.zeros(npts)
+        denom = np.ones(npts)
+        for j in range(5):
             if j != i:
-                denom *= ts[i] - ts[j]
-        for j in range(k):
+                denom *= T[:, i] - T[:, j]
+        for j in range(5):
             if j == i:
                 continue
-            prod = 1.0
-            for l in range(k):
+            prod = np.ones(npts)
+            for l in range(5):
                 if l != i and l != j:
-                    prod *= t0 - ts[l]
+                    prod *= ts - T[:, l]
             total += prod
-        weights[i] = total / denom
-    return weights
-
-
-def _residuals(spec, ts, states):
-    """Contact pairings of the finite-difference velocity, per sample."""
-    m = spec.m
-    om = [[float(x) for x in row] for row in spec.omega]
-    npts = len(ts)
-    contact = np.zeros(npts)
-    secondary = np.zeros(npts)
-    if npts < 5:
-        return contact, secondary
-    chart = spec.chart()
-    ix = {nm: i for i, nm in enumerate(chart.names)}
-    for k in range(npts):
-        lo = min(max(k - 2, 0), npts - 5)
-        nodes = list(range(lo, lo + 5))
-        w = _fd_weights(ts[nodes], ts[k])
-        vel = w @ states[nodes]
-        st = states[k]
-
-        def coord(nm):
-            return st[ix[nm]]
-
-        def dcoord(nm):
-            return vel[ix[nm]]
-
-        # theta = dz + t dx0 - x0 dt + omega_pq x^p dx^q
-        val = dcoord("z") + coord("t") * dcoord("x0") - coord("x0") * dcoord("t")
-        for p in range(1, m + 1):
-            for q in range(1, m + 1):
-                if om[p - 1][q - 1]:
-                    val += om[p - 1][q - 1] * coord(f"x{p}") * dcoord(f"x{q}")
-        contact[k] = val
-        # theta(-1,-2) = dx0 - u0 dt + omega_pq u^p dx^q
-        val = dcoord("x0") - coord("u0") * dcoord("t")
-        for p in range(1, m + 1):
-            for q in range(1, m + 1):
-                if om[p - 1][q - 1]:
-                    val += om[p - 1][q - 1] * coord(f"u{p}") * dcoord(f"x{q}")
-        secondary[k] = val
+        W[:, i] = total / denom
+    # stacked 1x5 by 5xdim products, bitwise the per-sample `w @ S`
+    vel = np.matmul(W[:, None, :], states[nodes])[:, 0, :]
+    names = spec.chart().names
+    S = dict(zip(names, states.T))
+    V = dict(zip(names, vel.T))
+    omega = [(float(w), p, q)
+             for p, row in enumerate(spec.omega, 1) for q, w in enumerate(row, 1) if w]
+    # theta = dz + t dx0 - x0 dt + omega_pq x^p dx^q
+    contact = V["z"] + S["t"] * V["x0"] - S["x0"] * V["t"]
+    for w, p, q in omega:
+        contact = contact + w * S[f"x{p}"] * V[f"x{q}"]
+    # theta(-1,-2) = dx0 - u0 dt + omega_pq u^p dx^q
+    secondary = V["x0"] - S["u0"] * V["t"]
+    for w, p, q in omega:
+        secondary = secondary + w * S[f"u{p}"] * V[f"x{q}"]
     return contact, secondary
 
 
@@ -190,8 +176,8 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     rhs = _compile_rhs(spec)
-    _, c0 = rhs(state)
-    if abs(c0) < c_min:
+    first = rhs(state)
+    if abs(first[1]) < c_min:
         raise SingularArcError("C vanishes at the initial point", t0, state.copy())
     ts = [t0]
     states = [state.copy()]
@@ -203,14 +189,17 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
         if h_eff < h_floor:
             raise RuntimeError(f"step size underflow near t = {t}")
         if not adaptive:
-            state = _step_checked(rhs, state, h_eff, t, c_min)
+            # the right-hand side at the new state, which checks C there,
+            # is the next step's first stage
+            state, first = _step_checked(rhs, state, h_eff, t, c_min, first)
             t += h_eff
             ts.append(t)
             states.append(state.copy())
             continue
-        # step doubling: full step vs two half steps
-        full, _ = _rk4_step(rhs, state, h_eff)
-        half, _ = _rk4_step(rhs, state, h_eff / 2)
+        # step doubling: full step vs two half steps, sharing the first stage
+        first = rhs(state)
+        full, _ = _rk4_step(rhs, state, h_eff, first)
+        half, _ = _rk4_step(rhs, state, h_eff / 2, first)
         two_half, c = _rk4_step(rhs, half, h_eff / 2)
         err = np.max(np.abs(two_half - full) / (atol + rtol * np.maximum(np.abs(two_half), 1.0)))
         if err <= 15.0:
@@ -228,9 +217,9 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
     return Trajectory(spec, ts, states, contact, secondary)
 
 
-def _step_checked(rhs, state, h, t, c_min):
-    new_state, c = _rk4_step(rhs, state, h)
-    _, c_new = rhs(new_state)
-    if abs(c_new) < c_min or abs(c) < c_min:
+def _step_checked(rhs, state, h, t, c_min, first):
+    new_state, c = _rk4_step(rhs, state, h, first)
+    following = rhs(new_state)
+    if abs(following[1]) < c_min or abs(c) < c_min:
         raise SingularArcError("C vanished along the arc", t, state.copy())
-    return new_state
+    return new_state, following

@@ -414,3 +414,64 @@ def test_adapted_frame_refuses_torsion_and_obstruction_nonzero():
         adapted_frame_check(spec, wit)
     obstruction = torsion_obstruction_values(spec, wit)
     assert max(abs(v) for v in obstruction) > 1e-6
+
+
+# --- monomial tables against the tree walk -------------------------------------------
+
+def _float_points(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    return [dict(zip(spec.chart().names, rng.uniform(-2.0, 2.0, spec.chart().dim)))
+            for _ in range(count)]
+
+
+def _walked(geo, fields, point):
+    return np.column_stack([geo.eval_field(f, point) for f in fields])
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_monomial_tables_match_tree_walk(n):
+    spec = random_polynomial_spec(n, 70 + n, degree=2, torsion_free=True)
+    geo = geometry(spec)
+    assert geo.polynomial
+    spans = geo.filtration_fields()
+    flat = [f for flist in spans.values() for f in flist]
+    u_fields, pairs, adapted, _ = engine._adapted_frame_data(geo)
+    expected = RankTable.expected(n)
+    for point in _float_points(spec, 3, seed=n):
+        vals = geo.eval_fields("filtration", flat, point)
+        start = 0
+        walked_ranks = {}
+        for key, flist in spans.items():
+            want = _walked(geo, flist, point)
+            _assert_close(vals[:, start:start + len(flist)], want)
+            walked_ranks[key] = engine._nrank(want)
+            start += len(flist)
+        assert filtration_ranks(spec, point) == RankTable(**walked_ranks)
+        assert filtration_ranks(spec, point).as_tuple() == expected
+        _assert_close(geo.eval_fields("adapted", adapted, point), _walked(geo, adapted, point))
+        assert len(adapted) == len(u_fields) + len(pairs)
+        _assert_close(geo.eval_fields("nu", [geo.nu_form()], point),
+                      _walked(geo, [geo.nu_form()], point))
+
+
+def test_nonpolynomial_geometry_walks_trees(monkeypatch):
+    spec = spec_from_dict({"n": 3, "f0": "sin(u1)*x1", "f": ["exp(u2/4)", "u1*z"]})
+    geo = geometry(spec)
+    assert not geo.polynomial
+    walked = []
+    eval_field = engine.Geometry.eval_field
+
+    def counting(self, field, point):
+        walked.append(field)
+        return eval_field(self, field, point)
+
+    monkeypatch.setattr(engine.Geometry, "eval_field", counting)
+    for point in _float_points(spec, 2, seed=5):
+        assert filtration_ranks(spec, point).as_tuple() == RankTable.expected(3)
+    assert walked
+    assert not [key for key in geo._cache if isinstance(key, tuple) and key[0] == "table"]

@@ -1,8 +1,10 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from contactpath import integrate as integrate_mod
 from contactpath.engine import flat_spec, spec_from_dict
 from contactpath.errors import SingularArcError
 from contactpath.integrate import integrate
@@ -89,3 +91,70 @@ def test_init_as_sequence_and_validation():
         integrate(flat_spec(3), [0.0, 1.0], 0.0, 1.0, 1e-2)
     with pytest.raises(ValueError):
         integrate(flat_spec(3), INIT3, 1.0, 0.0, 1e-2)
+
+
+# sha256 of the CSV text of paths written by the tree-walking right-hand side
+# and the per-sample residual loop; the lowered right-hand side, the reused
+# first stage and the vectorised residuals must reproduce them byte for byte.
+HALVING = {"n": 3, "f0": "u1*u2 + x1", "f": ["u2^2 - x2", "u1*x1"]}
+GOLDEN_CSV = [
+    (flat_spec(3), 1e-3, {},
+     "a9d02d9eb7aace0b772365eec0d3d079a38367ed1d8c160da3ce456ff16377b4"),
+    (HALVING, 4e-3, {},
+     "b8bcb8fc33a1ebc32cbc05432a8361ec2e5d39ba8c92ae1183999e5c3bbf2533"),
+    (HALVING, 2e-3, {},
+     "4e7cc1d584bf2def3d9638be35d6dce5da760bdd24066ea8f325e7dedf26195d"),
+    ({"n": 3, "f0": "u1*u2 + sin(x1)", "f": ["exp(u2/4) - x2", "cos(u1)*x1"]}, 1e-2, {},
+     "6272dd4919c7b54f3954cd9379257f9c7d6d2d544b3105556248e919446779b1"),
+    ({"n": 3, "C": "1 + u1^2", "f0": "u2*x1 - 1/3", "f": ["u2 + x2^2", "(2/3)*u1*z"]}, 1e-2, {},
+     "e5da74ed29dc369929fbb749f0f0fb6ce87f48ee6307e9e1eff80483f3b42e5b"),
+    ({"n": 3, "f0": "u1*u2", "f": ["u2", "u1"]}, 1e-2, {"adaptive": True, "rtol": 1e-10},
+     "5a49647d05cdfdcf4af07de78ae895b44394903a9f3add4af50720af5e7963a0"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, step, options, digest", GOLDEN_CSV,
+    ids=["flat", "halving-coarse", "halving-fine", "transcendental", "poly-c", "adaptive"],
+)
+def test_csv_bytes_unchanged(spec, step, options, digest):
+    if isinstance(spec, dict):
+        spec = spec_from_dict(spec)
+    traj = integrate(spec, INIT3, 0.0, 1.0, step, **options)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_singular_arc_state_unchanged():
+    spec = spec_from_dict({"n": 3, "C": "1 - 2*u1", "f0": "0", "f": ["1", "0"]})
+    with pytest.raises(SingularArcError) as err:
+        integrate(spec, INIT3, 0.0, 1.0, 1e-3)
+    assert repr(err.value.t) == "0.09900000000000007"
+    assert [repr(float(v)) for v in err.value.state] == [
+        "0.009998999999999987", "0.3068993298000001", "0.10433283400000003",
+        "-0.20299969999999995", "0.5024331031999995", "0.6703000000000032",
+        "0.4990000000000001", "-0.3",
+    ]
+
+
+def test_fixed_step_reuses_first_stage(monkeypatch):
+    calls = []
+    compile_rhs = integrate_mod._compile_rhs
+
+    def counting_compile(spec):
+        rhs = compile_rhs(spec)
+
+        def counted(state):
+            calls.append(1)
+            return rhs(state)
+        return counted
+
+    monkeypatch.setattr(integrate_mod, "_compile_rhs", counting_compile)
+    spec = spec_from_dict(HALVING)
+    traj = integrate(spec, INIT3, 0.0, 0.1, 1e-2)
+    steps = len(traj.t) - 1
+    assert steps == 10
+    # one evaluation at the initial point, then three stages and the check
+    # at the new state, which is the next step's first stage
+    assert len(calls) == 4 * steps + 1
