@@ -152,11 +152,9 @@ def cmd_flat_check(args):
     checks.append(("Q2 contact forms annihilate the spanning fields", ok))
     efj = flat_model.efj_identity_check(n)
     checks.append(("Q2 endomorphism identities", all(v == 0 for v in efj.values())))
-    if n <= 4:  # top-power evaluation grows combinatorially past this
-        checks.append(
-            ("Psi power nonvanishing on the multicontact bundle",
-             flat_model.qk_psi_power_nonzero(n, 2))
-        )
+    checks.append(
+        ("Psi power nonvanishing on the multicontact bundle", flat_model.qk_psi_power_nonzero(n, 2))
+    )
 
     all_ok = all(ok for _, ok in checks)
     for name, ok in checks:

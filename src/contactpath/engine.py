@@ -12,12 +12,15 @@ and falls back to expression trees otherwise; pointwise reductions are exact
 on rational data and QR/SVD-based with tolerance 1e-9 on floats.  At float
 points a polynomial geometry evaluates its fields through monomial tables,
 built once per geometry on first use (`Geometry.eval_fields`); other
-geometries walk their trees.
+geometries walk their trees.  A spec's Geometry is built on first use and
+kept on the spec itself, together with its contact torsion reports, so it
+lives exactly as long as the spec.
 """
 
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 
 import numpy as np
@@ -26,11 +29,13 @@ from . import expr as ex
 from . import flat_model as fm
 from .errors import (
     DegeneratePointError,
+    ExprError,
     SpecFormatError,
     TorsionPreconditionError,
 )
 from .exactlinalg import inverse as exact_inverse
 from .exactlinalg import rank as exact_rank
+from .exactlinalg import solve as exact_solve
 from .graded_sp import standard_omega
 from .lowering import MonomialTable
 from .poly import Polynomial
@@ -57,6 +62,10 @@ class ODESpec:
 
     def variables(self):
         return list(self.chart().names)
+
+    @cached_property
+    def _geometry(self):
+        return Geometry(self)
 
     def to_dict(self):
         return {
@@ -374,19 +383,8 @@ class Geometry:
 
 
 def geometry(spec):
-    # specs are frozen; geometry is cached on the instance sneakily via dict id
-    cache = _GEOMETRY_CACHE
-    key = id(spec)
-    got = cache.get(key)
-    if got is None or got.spec is not spec:
-        got = Geometry(spec)
-        cache[key] = got
-        if len(cache) > 128:
-            cache.pop(next(iter(cache)))
-    return got
-
-
-_GEOMETRY_CACHE = {}
+    """The Geometry of a spec, built on first use and kept on the spec."""
+    return spec._geometry
 
 
 def generating_field(spec):
@@ -426,7 +424,7 @@ def seeded_points(spec, count, seed=42, avoid_c_zero=True):
         if avoid_c_zero:
             try:
                 cv = spec.C.evaluate(pt)
-            except ex.ExprError:
+            except ExprError:
                 continue
             if cv == 0 or (isinstance(cv, float) and abs(cv) < 1e-9):
                 continue
@@ -444,9 +442,13 @@ def contact_torsion(spec, seed=42):
 
     tau_i = 3 f_i + A_i(f0) for the C-normalized data; the same components
     are recomputed as the theta(-1,-2) pairing of [[A_i, X], X] and the two
-    routes must agree identically.
+    routes must agree identically.  The report is built once per geometry
+    and seed.
     """
     geo = geometry(spec)
+    key = ("torsion", seed)
+    if key in geo._cache:
+        return geo._cache[key]
     f_low = geo.lower(geo.f_hat)
     tau = []
     for i in range(1, geo.m + 1):
@@ -470,7 +472,8 @@ def contact_torsion(spec, seed=42):
     tau_exprs = tuple(
         ex.poly_to_expr(t) if isinstance(t, Polynomial) else ex.simplify(t) for t in tau
     )
-    return TorsionReport(tau_exprs, is_zero, witness, tuple(tau), tuple(bracket_tau))
+    geo._cache[key] = TorsionReport(tau_exprs, is_zero, witness, tuple(tau), tuple(bracket_tau))
+    return geo._cache[key]
 
 
 def _decide_zero(spec, tau, geo, seed):
@@ -488,7 +491,7 @@ def _decide_zero(spec, tau, geo, seed):
         fpt = {k: float(v) for k, v in pt.items()}
         try:
             vals = [abs(float(t.evaluate(fpt))) for t in tau]
-        except ex.ExprError:
+        except ExprError:
             continue
         big = max(vals) if vals else 0.0
         if big > worst:
@@ -504,7 +507,7 @@ def torsion_point_reduction(spec, point):
     geo = geometry(spec)
     try:
         cval = spec.C.evaluate(point)
-    except ex.ExprError:
+    except ExprError:
         cval = 0
     if cval == 0 or (isinstance(cval, float) and abs(cval) < RANK_TOL):
         raise DegeneratePointError("C vanishes at the requested point")
@@ -521,8 +524,6 @@ def torsion_point_reduction(spec, point):
         if exact_rank([row[: len(span_fields)] for row in mat]) != 4 * geo.n - 6:
             raise DegeneratePointError("reduction span lost rank (C vanishes here?)")
         out = []
-        from .exactlinalg import solve as exact_solve
-
         for i in range(1, geo.m + 1):
             b = geo.double_bracket(i).evaluate(geo.chart, point)
             coeffs = exact_solve(mat, list(b))

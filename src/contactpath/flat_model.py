@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exactlinalg as ela
 from .errors import UnsupportedDimensionError
 from .graded_sp import standard_omega
 from .poly import Polynomial
@@ -674,72 +675,50 @@ def efj_identity_check(n):
         raise UnsupportedDimensionError("k = 2 chart requires n >= 3")
     k = 2
     w = 2 * (n - k)
-    om = [list(map(Fraction, row)) for row in standard_omega(w)]
+    om = standard_omega(w)
     qk = qk_forms(n, k)
     idx = [(i, a) for a in (1, 2) for i in range(1, w + 1)]
     pos = {ia: r for r, ia in enumerate(idx)}
     size = len(idx)
 
-    eta_upper = {(1, 2): Fraction(1), (2, 1): Fraction(-1), (1, 1): Fraction(0), (2, 2): Fraction(0)}
+    eta_upper = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
     g = [[eta_upper[(a, b)] * om[i - 1][j - 1] for (j, b) in idx] for (i, a) in idx]
 
     def endo(matrix_action):
-        out = [[Fraction(0)] * size for _ in range(size)]
+        out = ela.zeros(size, size)
         for (i, a), r in pos.items():
             for (target, coeff) in matrix_action(i, a):
                 out[pos[target]][r] += coeff
         return out
 
-    Emap = endo(lambda i, a: [((i, 3 - a), Fraction(1))])
-    Fmap = endo(lambda i, a: [((i, a), Fraction(1) if a == 1 else Fraction(-1))])
-    Jmap = endo(lambda i, a: [((i, 3 - a), Fraction(1) if a == 1 else Fraction(-1))])
-
-    def matmulq(A, B):
-        return [
-            [sum(A[r][k_] * B[k_][c] for k_ in range(size)) for c in range(size)]
-            for r in range(size)
-        ]
+    E = endo(lambda i, a: [((i, 3 - a), 1)])
+    F = endo(lambda i, a: [((i, a), 1 if a == 1 else -1)])
+    J = endo(lambda i, a: [((i, 3 - a), 1 if a == 1 else -1)])
+    one = ela.identity(size)
 
     def residual(M):
         return max((abs(x) for row in M for x in row), default=Fraction(0))
 
-    def minus_identity(M):
-        return [
-            [M[r][c] - (1 if r == c else 0) for c in range(size)] for r in range(size)
-        ]
-
-    def g_twisted(A):
+    def g_of(A):
         # g(A . , . ): entry (r, c) = g(A v_r, v_c)
-        return [
-            [sum(A[s][r] * g[s][c] for s in range(size)) for c in range(size)]
-            for r in range(size)
-        ]
+        return ela.matmul(ela.transpose(A), g)
 
     point = qk.chart.origin()
     fields = [qk.fields[ia] for ia in idx]
-    omega_grams = {
-        key: form.gram(qk.chart, fields, point) for key, form in qk.omega_forms.items()
+    omega = {key: form.gram(qk.chart, fields, point) for key, form in qk.omega_forms.items()}
+    gE, gF, gJ = g_of(E), g_of(F), g_of(J)
+    return {
+        "E^2 - I": residual(ela.matsub(ela.matmul(E, E), one)),
+        "F^2 - I": residual(ela.matsub(ela.matmul(F, F), one)),
+        "J^2 + I": residual(ela.matadd(ela.matmul(J, J), one)),
+        "EF - J": residual(ela.matsub(ela.matmul(E, F), J)),
+        "g(E.,E.) + g": residual(ela.matadd(ela.matmul(gE, E), g)),
+        "g(F.,F.) + g": residual(ela.matadd(ela.matmul(gF, F), g)),
+        "g(J.,J.) - g": residual(ela.matsub(ela.matmul(gJ, J), g)),
+        "Omega12 - g(F.,.)": residual(ela.matsub(omega[(1, 2)], gF)),
+        "Omega11 + g(E.,.) + g(J.,.)": residual(ela.matadd(ela.matadd(omega[(1, 1)], gE), gJ)),
+        "Omega22 - g(E.,.) + g(J.,.)": residual(ela.matadd(ela.matsub(omega[(2, 2)], gE), gJ)),
     }
-
-    def matsubq(A, B):
-        return [[A[r][c] - B[r][c] for c in range(size)] for r in range(size)]
-
-    gE = g_twisted(Emap)
-    gF = g_twisted(Fmap)
-    gJ = g_twisted(Jmap)
-    out = {
-        "E^2 - I": residual(minus_identity(matmulq(Emap, Emap))),
-        "F^2 - I": residual(minus_identity(matmulq(Fmap, Fmap))),
-        "J^2 + I": residual([[x + (1 if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(matmulq(Jmap, Jmap))]),
-        "EF - J": residual(matsubq(matmulq(Emap, Fmap), Jmap)),
-        "g(E.,E.) + g": residual([[sum(Emap[s][r] * sum(Emap[t][c] * g[s][t] for t in range(size)) for s in range(size)) + g[r][c] for c in range(size)] for r in range(size)]),
-        "g(F.,F.) + g": residual([[sum(Fmap[s][r] * sum(Fmap[t][c] * g[s][t] for t in range(size)) for s in range(size)) + g[r][c] for c in range(size)] for r in range(size)]),
-        "g(J.,J.) - g": residual([[sum(Jmap[s][r] * sum(Jmap[t][c] * g[s][t] for t in range(size)) for s in range(size)) - g[r][c] for c in range(size)] for r in range(size)]),
-        "Omega12 - g(F.,.)": residual(matsubq(omega_grams[(1, 2)], gF)),
-        "Omega11 + g(E.,.) + g(J.,.)": residual([[omega_grams[(1, 1)][r][c] + gE[r][c] + gJ[r][c] for c in range(size)] for r in range(size)]),
-        "Omega22 - g(E.,.) + g(J.,.)": residual([[omega_grams[(2, 2)][r][c] - gE[r][c] + gJ[r][c] for c in range(size)] for r in range(size)]),
-    }
-    return out
 
 
 # --- dimension formulas -------------------------------------------------------

@@ -73,10 +73,6 @@ def _freeze(m):
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-def _sparse(m):
-    return [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
-
-
 def _sparse_mul(a_entries, b_by_row):
     out = {}
     for r, k, va in a_entries:

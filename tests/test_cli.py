@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import contactpath
 from contactpath.cli import main
 
 SPEC_TORSION = '{"n": 3, "f0": "u1^3", "f": ["0", "0"]}'
 SPEC_FLAT = '{"n": 3, "f0": "0", "f": ["0", "0"]}'
+SPEC_POLE = '{"n": 3, "f0": "u1*u2", "f": ["1/u1", "0"]}'
 
 
 def run_cli(args, capsys):
@@ -74,6 +79,25 @@ def test_quat_multiplication(capsys):
 def test_quat_error_exit(capsys):
     code, _, err = run_cli(["quat", "q + 1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_flat_check(capsys, n):
+    code, out, _ = run_cli(["flat-check", "--n", str(n)], capsys)
+    assert code == 0
+    *checks, last = out.splitlines()
+    assert all(line.startswith("  ok   ") for line in checks)
+    assert "  ok   Psi power nonvanishing on the multicontact bundle" in checks
+    assert last == f"all checks passed (n={n})"
+
+
+def test_torsion_with_a_pole(tmp_path, capsys):
+    # evaluation errors at sample points are skipped, not raised
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_POLE)
+    code, out, _ = run_cli(["torsion", str(spec)], capsys)
+    assert code == 0
+    assert "contact torsion: proved-nonzero" in out
 
 
 def test_torsion_and_torsion_free(tmp_path, capsys):
@@ -160,8 +184,11 @@ def test_byte_identical_output_across_runs(tmp_path):
         [sys.executable, "-m", "contactpath.cli", "homology", "--n", "4", "--cross", "1,2", "--format", "json"],
         [sys.executable, "-m", "contactpath.cli", "torsion", str(spec), "--json", "--seed", "42"],
     ]
+    # the child processes import the package from where this process found it
+    src = os.path.dirname(os.path.dirname(contactpath.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for cmd in cmds:
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=env)
+        b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

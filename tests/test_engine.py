@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +98,17 @@ def test_load_spec_round_trip(tmp_path):
 
 
 # --- generating field --------------------------------------------------------
+
+def test_geometry_lives_on_its_spec():
+    spec = spec_from_dict({"n": 3, "f0": "u1^3", "f": ["0", "0"]})
+    geo = geometry(spec)
+    assert geometry(spec) is geo
+    assert geometry(spec_from_dict(spec.to_dict())) is not geo
+    ref = weakref.ref(geo)
+    del spec, geo
+    gc.collect()
+    assert ref() is None
+
 
 def test_flat_generating_field_is_the_horizontal_generator():
     spec = flat_spec(3)
@@ -249,6 +262,14 @@ def test_nonpolynomial_spec_geometric_ops():
     assert np.max(np.abs(reduced - closed)) < 1e-9
 
 
+def test_pole_spec_torsion_completes():
+    # 1/u1 raises at sample points with u1 = 0; those points are skipped
+    spec = spec_from_dict({"n": 3, "f0": "u1*u2", "f": ["1/u1", "0"]})
+    assert contact_torsion(spec).is_zero == TorsionReport.PROVED_NONZERO
+    fixed = torsion_free_representative(spec)
+    assert contact_torsion(fixed).is_zero != TorsionReport.PROVED_NONZERO
+
+
 def test_variable_c_torsion_removal():
     spec = spec_from_dict({"n": 3, "C": "1 + u1^2", "f0": "u1*u2", "f": ["0", "0"]})
     assert contact_torsion(spec).is_zero == TorsionReport.PROVED_NONZERO
@@ -376,6 +397,24 @@ def test_secondary_values_recorded_for_cubic_representative():
     )
     vals = [secondary_torsion(spec, pt) for pt in seeded_points(spec, 20, seed=42)]
     assert all(np.all(np.isfinite(v)) for v in vals)
+
+
+def test_pointwise_calls_build_the_torsion_once(monkeypatch):
+    spec = random_polynomial_spec(3, 4, torsion_free=True)
+    decided = []
+    decide_zero = engine._decide_zero
+
+    def counting(*args):
+        decided.append(args)
+        return decide_zero(*args)
+
+    monkeypatch.setattr(engine, "_decide_zero", counting)
+    for pt in seeded_points(spec, 3, seed=4):
+        secondary_torsion(spec, pt)
+        characteristic_system_test(spec, pt)
+        adapted_frame_check(spec, pt)
+    assert contact_torsion(spec) is contact_torsion(spec)
+    assert len(decided) == 1
 
 
 # --- adapted frame -------------------------------------------------------------------------

@@ -182,11 +182,30 @@ def test_psi_power_nonvanishing():
     assert fm.qk_psi_power_nonzero(4, 2)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_efj_identities(n):
     res = fm.efj_identity_check(n)
     assert set(res.values()) == {0}
     assert "EF - J" in res and "g(J.,J.) - g" in res
+
+
+@pytest.mark.parametrize("key, row", [
+    ((1, 1), "Omega11 + g(E.,.) + g(J.,.)"),
+    ((1, 2), "Omega12 - g(F.,.)"),
+    ((2, 2), "Omega22 - g(E.,.) + g(J.,.)"),
+])
+def test_efj_check_detects_a_wrong_omega_form(monkeypatch, key, row):
+    qk_forms = fm.qk_forms
+
+    def doubled(n, k, omega=None):
+        qk = qk_forms(n, k, omega)
+        qk.omega_forms[key] = qk.omega_forms[key].scale(2)
+        return qk
+
+    monkeypatch.setattr(fm, "qk_forms", doubled)
+    res = fm.efj_identity_check(4)
+    assert res[row] != 0
+    assert all(v == 0 for name, v in res.items() if name != row)
 
 
 def test_dims_formulas():
