@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage or
-I/O errors.  Results go to stdout, diagnostics to stderr; all randomness is
+I/O errors, 3 on an internal error (a bug in the package; its traceback goes
+to stderr).  Results go to stdout, diagnostics to stderr; all randomness is
 funneled through --seed, so output is byte-identical across runs for fixed
 flags.
 """
@@ -9,11 +10,13 @@ flags.
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import engine, flat_model, graded_sp, integrate as integrate_mod, kostant
 from . import expr as ex
 from .errors import (
+    ContactPathError,
     ExprError,
     InvalidParabolicError,
     InvalidRankError,
@@ -25,6 +28,7 @@ from .squat import SplitQuaternion, J, E, F
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
+INTERNAL_ERROR = 3
 
 
 def _fail(msg):
@@ -266,6 +270,8 @@ def cmd_ranks(args):
 def cmd_integrate(args):
     spec = _load(args.spec)
     init = _parse_point(spec, args.init)
+    if args.t1 <= args.t0:
+        return _fail("--t1 must exceed --t0")
     try:
         traj = integrate_mod.integrate(
             spec, init, args.t0, args.t1, args.step, adaptive=args.adaptive
@@ -431,9 +437,12 @@ def main(argv=None):
         UnsupportedDimensionError,
     ) as e:
         return _fail(str(e))
-    except Exception as e:  # verification-level failures from the library
+    except ContactPathError as e:  # verification-level failures from the library
         print(f"error: {e}", file=sys.stderr)
         return VERIFY_FAIL
+    except Exception:  # anything else is a bug in the package
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ stated for the normalized field; for the default C = 1 they coincide with
 the raw data.
 
 Symbolic work happens on polynomial components whenever the spec allows it
-and falls back to expression trees otherwise; pointwise reductions are exact
+and falls back to expression trees otherwise.  Those trees are built
+simplified, and fields and forms drop components that fold to zero, so the
+brackets of a non-polynomial spec stay small.  Pointwise reductions are exact
 on rational data and QR/SVD-based with tolerance 1e-9 on floats.  At float
 points a polynomial geometry evaluates its fields through monomial tables,
 built once per geometry on first use (`Geometry.eval_fields`); other
@@ -104,7 +106,9 @@ def spec_from_dict(data):
     m = 2 * n - 4
     if "omega" in data:
         om_rows = data["omega"]
-        if len(om_rows) != m or any(len(r) != m for r in om_rows):
+        if not isinstance(om_rows, list) or len(om_rows) != m or any(
+            not isinstance(r, list) or len(r) != m for r in om_rows
+        ):
             raise SpecFormatError(f"omega must be {m}x{m}")
         omega = [[_parse_rational(x) for x in row] for row in om_rows]
     else:
@@ -120,7 +124,7 @@ def spec_from_dict(data):
         c_expr = ex.parse(str(data.get("C", "1")), variables)
         f0_expr = ex.parse(str(data["f0"]), variables)
         f_list = data["f"]
-        if len(f_list) != m:
+        if not isinstance(f_list, list) or len(f_list) != m:
             raise SpecFormatError(f"f must have {m} entries")
         f_exprs = tuple(ex.parse(str(s), variables) for s in f_list)
     except KeyError as e:

@@ -2,43 +2,48 @@
 
 Every error condition promised by a public operation maps to one of these,
 so callers (and the CLI) can distinguish usage errors from verification
-failures without string matching.
+failures without string matching.  Any other exception escaping the package
+is a bug in it.
 """
 
 
-class InvalidRankError(ValueError):
+class ContactPathError(Exception):
+    """Base class of every error condition the package promises."""
+
+
+class InvalidRankError(ContactPathError, ValueError):
     """Root-system rank outside the supported range."""
 
 
-class InvalidParabolicError(ValueError):
+class InvalidParabolicError(ContactPathError, ValueError):
     """Empty or out-of-range set of crossed Dynkin nodes."""
 
 
-class UnsupportedDimensionError(ValueError):
+class UnsupportedDimensionError(ContactPathError, ValueError):
     """Requested a case the theory deliberately excludes (e.g. n = 2)."""
 
 
-class InconsistencyError(ArithmeticError):
+class InconsistencyError(ContactPathError, ArithmeticError):
     """An element failed to expand in the stored basis; signals a wrong basis."""
 
 
-class HousingAmbiguityError(RuntimeError):
+class HousingAmbiguityError(ContactPathError, RuntimeError):
     """Zero or several candidate subspaces matched an extreme weight."""
 
 
-class SpecFormatError(ValueError):
+class SpecFormatError(ContactPathError, ValueError):
     """ODE spec file violates the documented schema."""
 
 
-class DegeneratePointError(ValueError):
+class DegeneratePointError(ContactPathError, ValueError):
     """A pointwise reduction lost rank, typically because C vanishes there."""
 
 
-class TorsionPreconditionError(ValueError):
+class TorsionPreconditionError(ContactPathError, ValueError):
     """Operation requires vanishing contact torsion and it does not vanish."""
 
 
-class SingularArcError(RuntimeError):
+class SingularArcError(ContactPathError, RuntimeError):
     """Integration ran into C -> 0; carries the last good state."""
 
     def __init__(self, message, t, state):
@@ -47,7 +52,11 @@ class SingularArcError(RuntimeError):
         self.state = state
 
 
-class ExprError(ValueError):
+class StepUnderflowError(ContactPathError, RuntimeError):
+    """Integration's step fell below 1e-13 of the interval it covers."""
+
+
+class ExprError(ContactPathError, ValueError):
     """Base class for expression language failures."""
 
 

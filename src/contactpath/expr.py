@@ -9,8 +9,12 @@ Grammar (whitespace insignificant, '^' binds tighter than unary minus):
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
 Integer literals become exact rationals, decimal/exponent literals become
-floats.  Differentiation is exact on the tree; evaluation follows standard
-semantics and raises on division by zero or log of a non-positive number.
+floats.  The parser keeps the shape of the source text, so a parsed
+expression prints as written.  Everything else that builds a tree (the
+arithmetic operators, `diff`, `simplify`) builds it simplified: constants
+folded, 0/1 identities applied, double negation removed.  Differentiation is
+exact on the tree; evaluation follows standard semantics and raises on
+division by zero or log of a non-positive number.
 """
 
 import math
@@ -42,34 +46,34 @@ class Expr:
         return Num(Fraction(x) if not isinstance(x, float) else x)
 
     def __add__(self, other):
-        return Bin("+", self, Expr.coerce(other))
+        return _bin("+", self, Expr.coerce(other))
 
     def __radd__(self, other):
-        return Bin("+", Expr.coerce(other), self)
+        return _bin("+", Expr.coerce(other), self)
 
     def __sub__(self, other):
-        return Bin("-", self, Expr.coerce(other))
+        return _bin("-", self, Expr.coerce(other))
 
     def __rsub__(self, other):
-        return Bin("-", Expr.coerce(other), self)
+        return _bin("-", Expr.coerce(other), self)
 
     def __mul__(self, other):
-        return Bin("*", self, Expr.coerce(other))
+        return _bin("*", self, Expr.coerce(other))
 
     def __rmul__(self, other):
-        return Bin("*", Expr.coerce(other), self)
+        return _bin("*", Expr.coerce(other), self)
 
     def __truediv__(self, other):
-        return Bin("/", self, Expr.coerce(other))
+        return _bin("/", self, Expr.coerce(other))
 
     def __rtruediv__(self, other):
-        return Bin("/", Expr.coerce(other), self)
+        return _bin("/", Expr.coerce(other), self)
 
     def __neg__(self):
-        return Neg(self)
+        return _neg(self)
 
     def __pow__(self, k):
-        return Pow(self, int(k))
+        return _pow(self, int(k))
 
     # --- interface implemented by node classes --------------------------
     def diff(self, var):
@@ -175,15 +179,13 @@ class Bin(Expr):
     def diff(self, var):
         l, r = self.left, self.right
         dl, dr = l.diff(var), r.diff(var)
-        if self.op == "+":
-            return Bin("+", dl, dr)
-        if self.op == "-":
-            return Bin("-", dl, dr)
+        if self.op in ("+", "-"):
+            return _bin(self.op, dl, dr)
         if self.op == "*":
-            return Bin("+", Bin("*", dl, r), Bin("*", l, dr))
+            return _bin("+", _bin("*", dl, r), _bin("*", l, dr))
         # quotient rule
-        num = Bin("-", Bin("*", dl, r), Bin("*", l, dr))
-        return Bin("/", num, Pow(r, 2))
+        num = _bin("-", _bin("*", dl, r), _bin("*", l, dr))
+        return _bin("/", num, _pow(r, 2))
 
     def evaluate(self, env):
         a = self.left.evaluate(env)
@@ -231,7 +233,7 @@ class Neg(Expr):
         raise AttributeError("immutable")
 
     def diff(self, var):
-        return Neg(self.arg.diff(var))
+        return _neg(self.arg.diff(var))
 
     def evaluate(self, env):
         return -self.arg.evaluate(env)
@@ -259,7 +261,7 @@ class Pow(Expr):
         if k == 0:
             return Num(Fraction(0))
         inner = self.base.diff(var)
-        return Bin("*", Bin("*", Num(Fraction(k)), Pow(self.base, k - 1)), inner)
+        return _bin("*", _bin("*", Num(Fraction(k)), _pow(self.base, k - 1)), inner)
 
     def evaluate(self, env):
         b = self.base.evaluate(env)
@@ -293,14 +295,14 @@ class Call(Expr):
     def diff(self, var):
         inner = self.arg.diff(var)
         if self.func == "sin":
-            outer = Call("cos", self.arg)
+            outer = _call("cos", self.arg)
         elif self.func == "cos":
-            outer = Neg(Call("sin", self.arg))
+            outer = _neg(_call("sin", self.arg))
         elif self.func == "exp":
-            outer = Call("exp", self.arg)
+            outer = _call("exp", self.arg)
         else:  # log
-            return Bin("/", inner, self.arg)
-        return Bin("*", outer, inner)
+            return _bin("/", inner, self.arg)
+        return _bin("*", outer, inner)
 
     def evaluate(self, env):
         x = self.arg.evaluate(env)
@@ -317,65 +319,86 @@ class Call(Expr):
         raise _NotPolynomial
 
 
-# --- simplifier ----------------------------------------------------------
+# --- simplifying constructors ---------------------------------------------
+#
+# Every operator and derivative builds its nodes through these, so trees stay
+# folded as they grow.  Each applies the local rules for one node kind to
+# children that are already built: constant folding, the 0/1 identities,
+# --a -> a, Pow at exponents 0 and 1 or with a numeric base, and sin/cos/exp
+# at 0 and log at 1.  The parser builds raw nodes, so a spec keeps the shape
+# of its source text.
 
 def _is_num(e, v=None):
     return isinstance(e, Num) and (v is None or e.value == v)
 
 
-def simplify(e):
-    """Constant folding and 0/1 identities; no canonicalization."""
-    if isinstance(e, Bin):
-        l, r = simplify(e.left), simplify(e.right)
-        if isinstance(l, Num) and isinstance(r, Num):
-            if e.op != "/" or r.value != 0:
-                return Num(Bin(e.op, l, r).evaluate({}))
-        if e.op == "+":
-            if _is_num(l, 0):
-                return r
-            if _is_num(r, 0):
-                return l
-        elif e.op == "-":
-            if _is_num(r, 0):
-                return l
-            if _is_num(l, 0):
-                return simplify(Neg(r))
-        elif e.op == "*":
-            if _is_num(l, 0) or _is_num(r, 0):
-                return Num(Fraction(0))
-            if _is_num(l, 1):
-                return r
-            if _is_num(r, 1):
-                return l
-        elif e.op == "/":
-            if _is_num(l, 0) and not _is_num(r, 0):
-                return Num(Fraction(0))
-            if _is_num(r, 1):
-                return l
-        return Bin(e.op, l, r)
-    if isinstance(e, Neg):
-        a = simplify(e.arg)
-        if isinstance(a, Num):
-            return Num(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
-    if isinstance(e, Pow):
-        b = simplify(e.base)
-        if e.exponent == 0:
-            return Num(Fraction(1))
-        if e.exponent == 1:
-            return b
-        if isinstance(b, Num):
-            return Num(b.value ** e.exponent) if not (b.value == 0 and e.exponent < 0) else Pow(b, e.exponent)
-        return Pow(b, e.exponent)
-    if isinstance(e, Call):
-        a = simplify(e.arg)
-        if _is_num(a, 0) and e.func in ("sin", "exp", "cos"):
-            return Num(Fraction({"sin": 0, "exp": 1, "cos": 1}[e.func]))
-        if _is_num(a, 1) and e.func == "log":
+def _bin(op, l, r):
+    if isinstance(l, Num) and isinstance(r, Num):
+        if op != "/" or r.value != 0:
+            return Num(Bin(op, l, r).evaluate({}))
+    if op == "+":
+        if _is_num(l, 0):
+            return r
+        if _is_num(r, 0):
+            return l
+    elif op == "-":
+        if _is_num(r, 0):
+            return l
+        if _is_num(l, 0):
+            return _neg(r)
+    elif op == "*":
+        if _is_num(l, 0) or _is_num(r, 0):
             return Num(Fraction(0))
-        return Call(e.func, a)
+        if _is_num(l, 1):
+            return r
+        if _is_num(r, 1):
+            return l
+    elif op == "/":
+        if _is_num(l, 0) and not _is_num(r, 0):
+            return Num(Fraction(0))
+        if _is_num(r, 1):
+            return l
+    return Bin(op, l, r)
+
+
+def _neg(a):
+    if isinstance(a, Num):
+        return Num(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def _pow(b, k):
+    if k == 0:
+        return Num(Fraction(1))
+    if k == 1:
+        return b
+    if isinstance(b, Num) and not (b.value == 0 and k < 0):
+        return Num(b.value ** k)
+    return Pow(b, k)
+
+
+def _call(f, a):
+    if _is_num(a, 0) and f in ("sin", "exp", "cos"):
+        return Num(Fraction({"sin": 0, "exp": 1, "cos": 1}[f]))
+    if _is_num(a, 1) and f == "log":
+        return Num(Fraction(0))
+    return Call(f, a)
+
+
+def simplify(e):
+    """Constant folding and 0/1 identities; no canonicalization.
+
+    Rebuilds the tree bottom-up through the simplifying constructors."""
+    if isinstance(e, Bin):
+        return _bin(e.op, simplify(e.left), simplify(e.right))
+    if isinstance(e, Neg):
+        return _neg(simplify(e.arg))
+    if isinstance(e, Pow):
+        return _pow(simplify(e.base), e.exponent)
+    if isinstance(e, Call):
+        return _call(e.func, simplify(e.arg))
     return e
 
 

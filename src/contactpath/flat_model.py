@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import exactlinalg as ela
 from .errors import UnsupportedDimensionError
+from .expr import Num
 from .graded_sp import standard_omega
 from .poly import Polynomial
 
@@ -120,6 +121,8 @@ class VectorField:
 def _is_zero(x):
     if isinstance(x, Polynomial):
         return x.is_zero()
+    if isinstance(x, Num):
+        return x.value == 0
     return x == 0
 
 

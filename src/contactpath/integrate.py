@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularArcError
+from .errors import SingularArcError, StepUnderflowError
 from .lowering import compile_exprs
 
 
@@ -187,7 +187,7 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
     while t < t1 - 1e-14:
         h_eff = min(h, t1 - t)
         if h_eff < h_floor:
-            raise RuntimeError(f"step size underflow near t = {t}")
+            raise StepUnderflowError(f"step size underflow near t = {t}")
         if not adaptive:
             # the right-hand side at the new state, which checks C there,
             # is the next step's first stage

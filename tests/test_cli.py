@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ import sys
 import pytest
 
 import contactpath
-from contactpath.cli import main
+from contactpath import engine
+from contactpath.cli import INTERNAL_ERROR, main
+from contactpath.errors import DegeneratePointError
 
 SPEC_TORSION = '{"n": 3, "f0": "u1^3", "f": ["0", "0"]}'
 SPEC_FLAT = '{"n": 3, "f0": "0", "f": ["0", "0"]}'
@@ -192,3 +195,114 @@ def test_byte_identical_output_across_runs(tmp_path):
         b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# sha256 of the exit codes, stdout, stderr and written file of `torsion`,
+# `torsion --json` and `torsion-free` for specs that live on expression trees
+# (transcendental terms, a non-constant C, poles); recorded from the version
+# that built its trees without simplifying, so building them simplified must
+# reproduce every printed string.
+GOLDEN_NONPOLYNOMIAL = [
+    ({"n": 3, "f0": "u1*u2 + sin(x1)", "f": ["u2^2", "0"]},
+     "0fc2b2d2d336834c1f96d455b3d9aa80d638c1f36b933e8a8e003b5b90a7ded5"),
+    ({"n": 3, "f0": "u1^3", "f": ["cos(u2)", "x1*u1"]},
+     "fd1c3d50de0a5aa9c8de395800d020bc76f14b184592b5d8505b774471b8cbe2"),
+    ({"n": 3, "f0": "exp(u1/2)", "f": ["0", "u1*u2"]},
+     "fcef919999d95a1e5dc791c0229a9f88281b1fb254fa20621786095a5d75ff97"),
+    ({"n": 3, "f0": "u2*x1", "f": ["log(1 + u1^2)", "u2"]},
+     "38817043944bc3ddad10ceb518b58449fdf7b2cf62f50cecc04908f50c81eab0"),
+    ({"n": 3, "C": "1 + u1^2", "f0": "u2*x1 - 1/3", "f": ["u2 + x2^2", "(2/3)*u1*z"]},
+     "4c9a9d83259637460c86183db27885bf419f3d48e953e2f553afd25437442dbd"),
+    ({"n": 3, "f0": "u1*u2", "f": ["1/u1", "0"]},
+     "66dfc44420072510635020719a2b5a7bbf376d5cbfc0d7b7af44a6aaa3c5f6b9"),
+    ({"n": 3, "f0": "log(u1)", "f": ["u2", "0"]},
+     "ac09db1061963d2ed52a13e52fe8b5f6590aa53ee45654835f48de9adcd03017"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, digest", GOLDEN_NONPOLYNOMIAL,
+    ids=["sin", "cos", "exp", "log", "poly-c", "pole", "log-pole"],
+)
+def test_nonpolynomial_output_unchanged(spec, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    h = hashlib.sha256()
+    for argv in (
+        ["torsion", "spec.json"],
+        ["torsion", "spec.json", "--json"],
+        ["torsion-free", "spec.json", "-o", "fixed.json"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        written = tmp_path / "fixed.json"
+        text = written.read_text() if written.exists() else ""
+        if written.exists():
+            written.unlink()
+        h.update(f"{code}\n{out}\n{err}\n{text}\n".encode())
+    assert h.hexdigest() == digest
+
+
+def test_library_bug_exits_internal_error(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_TORSION)
+
+    def broken(*args, **kwargs):
+        raise AttributeError("module has no attribute 'ExprError'")
+
+    monkeypatch.setattr(engine, "contact_torsion", broken)
+    code, out, err = run_cli(["torsion", str(spec)], capsys)
+    assert code == INTERNAL_ERROR == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("AttributeError: module has no attribute 'ExprError'")
+
+
+def test_verification_error_still_exits_one(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_TORSION)
+
+    def degenerate(*args, **kwargs):
+        raise DegeneratePointError("C vanishes at the point")
+
+    monkeypatch.setattr(engine, "contact_torsion", degenerate)
+    code, _, err = run_cli(["torsion", str(spec)], capsys)
+    assert code == 1
+    assert err == "error: C vanishes at the point\n"
+
+
+def test_integrate_reversed_interval_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    code, _, err = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3",
+         "--t0", "1", "--t1", "0", "-o", str(tmp_path / "out.csv")],
+        capsys,
+    )
+    assert code == 2
+    assert err == "--t1 must exceed --t0\n"
+
+
+def test_integrate_step_underflow_is_a_verification_failure(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    code, _, err = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3",
+         "--step", "0", "-o", str(tmp_path / "out.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert err == "error: step size underflow near t = 0.0\n"
+
+
+@pytest.mark.parametrize("spec", [
+    '{"n": 3, "f0": "u1", "f": 5}',
+    '{"n": 3, "omega": 1, "f0": "u1", "f": ["0", "0"]}',
+    '{"n": 3, "omega": [1, 2], "f0": "u1", "f": ["0", "0"]}',
+])
+def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run_cli(["torsion", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot load spec: ")

@@ -514,3 +514,25 @@ def test_nonpolynomial_geometry_walks_trees(monkeypatch):
         assert filtration_ranks(spec, point).as_tuple() == RankTable.expected(3)
     assert walked
     assert not [key for key in geo._cache if isinstance(key, tuple) and key[0] == "table"]
+
+
+def _tree_nodes(e):
+    return 1 + sum(
+        _tree_nodes(child)
+        for child in (getattr(e, slot, None) for slot in ("left", "right", "arg", "base"))
+        if isinstance(child, ex.Expr)
+    )
+
+
+def test_transcendental_filtration_fields_stay_small():
+    # trees built without folding 0*x, x*1 and x+0 held about 200 000 nodes here
+    spec = spec_from_dict({"n": 3, "f0": "u1*u2 + sin(x1)", "f": ["u2^2 - x2 + exp(u1/4)", "u1*x1 - z"]})
+    rep = torsion_free_representative(spec)
+    fields = geometry(rep).filtration_fields()
+    assert not geometry(rep).polynomial
+    total = sum(
+        _tree_nodes(comp) for span in fields.values() for field in span for comp in field.components.values()
+    )
+    assert total < 10_000
+    for point in _float_points(rep, 2, seed=3):
+        assert filtration_ranks(rep, point).as_tuple() == RankTable.expected(3)
