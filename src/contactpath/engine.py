@@ -7,10 +7,13 @@ and the torsion tensor of X rescales by C^2), so all closed forms below are
 stated for the normalized field; for the default C = 1 they coincide with
 the raw data.
 
-Symbolic work happens on polynomial components whenever the spec allows it
-and falls back to expression trees otherwise.  Those trees are built
-simplified, and fields and forms drop components that fold to zero, so the
-brackets of a non-polynomial spec stay small.  Pointwise reductions are exact
+Each Geometry settles its ring once, when it is built: polynomial
+components when C is constant and C, f0 and every f are polynomial,
+expression trees otherwise.  Everything it stores (the raw and normalized
+data, the frame, the coframe, its zero) lives in that ring, so the methods
+below compute without asking again.  The trees are built simplified, and
+fields and forms drop components that fold to zero, so the brackets of a
+non-polynomial spec stay small.  Pointwise reductions are exact
 on rational data and QR/SVD-based with tolerance 1e-9 on floats.  At float
 points a polynomial geometry evaluates its fields through monomial tables,
 built once per geometry on first use (`Geometry.eval_fields`); other
@@ -132,7 +135,32 @@ def spec_from_dict(data):
     c_poly = c_expr.as_polynomial()
     if c_poly is not None and c_poly.is_zero():
         raise SpecFormatError("C must not vanish identically")
+    for name, e in [("C", c_expr), ("f0", f0_expr)] + [(f"f[{i}]", e) for i, e in enumerate(f_exprs)]:
+        _reject_constant_zero_divisor(name, e)
     return ODESpec(n, tuple(tuple(row) for row in omega), c_expr, f0_expr, f_exprs)
+
+
+def _reject_constant_zero_divisor(name, e):
+    """A divisor or negative-power base without variables must evaluate
+    exactly to a nonzero value; otherwise the expression is undefined at
+    every point."""
+    nodes = [e]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ex.Bin) and node.op == "/":
+            divisor = node.right
+        elif isinstance(node, ex.Pow) and node.exponent < 0:
+            divisor = node.base
+        else:
+            divisor = None
+        if divisor is not None and not fm.comp_variables(divisor):
+            try:
+                ok = divisor.evaluate({}) != 0
+            except (ExprError, ArithmeticError):
+                ok = False
+            if not ok:
+                raise SpecFormatError(f"{name} divides by '{divisor}', which is zero or undefined")
+        nodes += [getattr(node, a) for a in node.__slots__ if isinstance(getattr(node, a), ex.Expr)]
 
 
 def load_spec(path):
@@ -150,31 +178,6 @@ def flat_spec(n):
 
 # --- normalized data and cached geometry -------------------------------------
 
-def _to_ring(e):
-    """Polynomial form when the expression allows it, else the tree itself."""
-    p = e.as_polynomial()
-    return p if p is not None else e
-
-
-def _ring_zero(x):
-    if isinstance(x, Polynomial):
-        return x.is_zero()
-    if isinstance(x, ex.Expr):
-        s = ex.simplify(x)
-        return isinstance(s, ex.Num) and s.value == 0
-    return x == 0
-
-
-def _field_map_to_expr(fields):
-    out = {}
-    for key, vf in fields.items():
-        comps = {}
-        for coord, comp in vf.components.items():
-            comps[coord] = ex.poly_to_expr(comp) if isinstance(comp, Polynomial) else comp
-        out[key] = fm.VectorField(comps)
-    return out
-
-
 class Geometry:
     """Per-spec cache of frame fields, normalized data, and brackets."""
 
@@ -185,50 +188,37 @@ class Geometry:
         self.chart = spec.chart()
         self.omega = [list(row) for row in spec.omega]
         self.omega_upper = [[-v for v in row] for row in exact_inverse(self.omega)]
-        c_ring = _to_ring(spec.C)
-        f0_ring = _to_ring(spec.f0)
-        f_ring = [_to_ring(e) for e in spec.f]
-        self.polynomial = all(
-            isinstance(r, Polynomial) for r in [c_ring, f0_ring, *f_ring]
-        )
-        c_is_one = (
-            isinstance(c_ring, Polynomial)
-            and c_ring.is_constant()
-            and not c_ring.is_zero()
-            and c_ring.constant_value() == 1
-        )
-        c_const = (
-            isinstance(c_ring, Polynomial)
-            and c_ring.is_constant()
-            and not c_ring.is_zero()
-        )
-        if c_is_one:
-            self.f0_hat = f0_ring
-            self.f_hat = list(f_ring)
-        elif c_const:
-            inv = Fraction(1) / c_ring.constant_value()
-            self.f0_hat = f0_ring * inv if isinstance(f0_ring, Polynomial) else f0_ring * ex.Num(inv)
-            self.f_hat = [f * inv if isinstance(f, Polynomial) else f * ex.Num(inv) for f in f_ring]
+        # The ring is settled here, once: Polynomial when C is a constant and
+        # C, f0 and every f are polynomial, expression trees otherwise.
+        exprs = (spec.C, spec.f0, *spec.f)
+        polys = [e.as_polynomial() for e in exprs]
+        c = polys[0]
+        c_const = c is not None and c.is_constant()
+        self.polynomial = c_const and None not in polys
+        # C = 0 never loads (spec_from_dict); C = 1 is the case inv = 1
+        inv = 1 / c.constant_value() if c_const else None
+        self.frame = fm.frame(self.n, self.omega)
+        self.coframe = fm.coframe(self.n, self.omega)
+        if self.polynomial:
+            self.raw = tuple(polys)
+            self.zero = Polynomial()
+            self.as_expr = ex.poly_to_expr
+            hat = [p * inv for p in polys[1:]]
         else:
-            # general C: torsion data lives on the normalized span of X
-            c_expr = spec.C
-            self.polynomial = False
-            self.f0_hat = spec.f0 / c_expr
-            self.f_hat = [f / c_expr for f in spec.f]
-        self.c_ring = c_ring
-        frame = fm.frame(self.n, self.omega)
-        if not self.polynomial:
-            frame = _field_map_to_expr(frame)
-            self.f0_hat = self.f0_hat if isinstance(self.f0_hat, ex.Expr) else ex.poly_to_expr(self.f0_hat)
-            self.f_hat = [f if isinstance(f, ex.Expr) else ex.poly_to_expr(f) for f in self.f_hat]
-            cf = fm.coframe(self.n, self.omega)
-            self.coframe = {
-                k: fm.OneForm({c: ex.poly_to_expr(v) for c, v in form.components.items()})
-                for k, form in cf.items()
-            }
-        else:
-            self.coframe = fm.coframe(self.n, self.omega)
-        self.frame = frame
+            self.raw = exprs
+            self.zero = ex.Num(Fraction(0))
+            self.as_expr = ex.simplify
+            if c_const:
+                # scale before converting, which fixes how tau prints:
+                # poly_to_expr(p * inv) for polynomials, e * inv for trees
+                hat = [ex.poly_to_expr(p * inv) if p is not None else e * ex.Num(inv)
+                       for p, e in zip(polys[1:], exprs[1:])]
+            else:
+                # general C: torsion data lives on the normalized span of X
+                hat = [e / spec.C for e in exprs[1:]]
+            self.frame = {k: v.map(ex.poly_to_expr) for k, v in self.frame.items()}
+            self.coframe = {k: v.map(ex.poly_to_expr) for k, v in self.coframe.items()}
+        self.f0_hat, *self.f_hat = hat
         self._cache = {}
 
     # normalized generating field X_hat = T(-1,0) + f0_hat T(0,-2) + f_hat^p A_p
@@ -242,12 +232,10 @@ class Geometry:
 
     def x_raw(self):
         if "x_raw" not in self._cache:
-            f0_ring = _to_ring(self.spec.f0) if self.polynomial else self.spec.f0
-            x = self.frame["T(-1,0)"].scale(self.c_ring if self.polynomial else self.spec.C)
-            x = x + self.frame["T(0,-2)"].scale(f0_ring)
+            c, f0, *f = self.raw
+            x = self.frame["T(-1,0)"].scale(c) + self.frame["T(0,-2)"].scale(f0)
             for p in range(1, self.m + 1):
-                fp = _to_ring(self.spec.f[p - 1]) if self.polynomial else self.spec.f[p - 1]
-                x = x + self.frame[f"A{p}"].scale(fp)
+                x = x + self.frame[f"A{p}"].scale(f[p - 1])
             self._cache["x_raw"] = x
         return self._cache["x_raw"]
 
@@ -326,12 +314,8 @@ class Geometry:
                 (self.coframe["theta(-1,-2)"].d(), float(s)),
             ):
                 for (a, b), comp in form.components.items():
-                    if isinstance(comp, Polynomial):
-                        if not comp.is_constant():
-                            raise DegeneratePointError("dbeta is not constant for this omega")
-                        val = float(comp.constant_value())
-                    else:
-                        val = float(comp.evaluate({}))
+                    # d of a coframe form has constant components in either ring
+                    val = float(comp.evaluate({}))
                     out[idx[a], idx[b]] += coef * val
                     out[idx[b], idx[a]] -= coef * val
             self._cache[key] = out
@@ -339,31 +323,11 @@ class Geometry:
 
     def lower(self, vec):
         """f_i = f^p omega_{pi}."""
-        out = []
-        for i in range(1, self.m + 1):
-            acc = None
-            for p in range(1, self.m + 1):
-                w = self.omega[p - 1][i - 1]
-                if not w:
-                    continue
-                term = vec[p - 1] * w
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Polynomial() if self.polynomial else ex.Num(Fraction(0)))
-        return out
+        return fm.contract(list(zip(*self.omega)), vec, self.zero)
 
     def raise_index(self, vec):
         """tau^i = omega^{ip} tau_p with omega^{ip} omega_{pj} = -delta^i_j."""
-        out = []
-        for i in range(1, self.m + 1):
-            acc = None
-            for p in range(1, self.m + 1):
-                w = self.omega_upper[i - 1][p - 1]
-                if not w:
-                    continue
-                term = vec[p - 1] * w
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Polynomial() if self.polynomial else ex.Num(Fraction(0)))
-        return out
+        return fm.contract(self.omega_upper, vec, self.zero)
 
     def eval_field(self, field, point):
         vals = field.evaluate(self.chart, point)
@@ -436,11 +400,6 @@ def seeded_points(spec, count, seed=42, avoid_c_zero=True):
     return points
 
 
-def _a_derivative(geo, func, i):
-    """A_i applied to a scalar: d/du^i + omega_{ip} u^p d/du^0."""
-    return geo.a_field(i).apply(func)
-
-
 def contact_torsion(spec, seed=42):
     """Contact torsion through the closed form, cross-checked by brackets.
 
@@ -456,7 +415,7 @@ def contact_torsion(spec, seed=42):
     f_low = geo.lower(geo.f_hat)
     tau = []
     for i in range(1, geo.m + 1):
-        tau.append(3 * f_low[i - 1] + _a_derivative(geo, geo.f0_hat, i))
+        tau.append(3 * f_low[i - 1] + geo.a_field(i).apply(geo.f0_hat))
     bracket_tau = []
     th = geo.coframe["theta(-1,-2)"]
     th_contact = geo.coframe["theta(-2,-2)"]
@@ -464,7 +423,7 @@ def contact_torsion(spec, seed=42):
         b = geo.double_bracket(i)
         bracket_tau.append(th.pair(b))
         contact_part = th_contact.pair(b)
-        if geo.polynomial and not _ring_zero(contact_part):
+        if geo.polynomial and not contact_part.is_zero():
             raise DegeneratePointError("double bracket escaped the contact hyperplane")
     if geo.polynomial:
         for a, b in zip(tau, bracket_tau):
@@ -473,9 +432,7 @@ def contact_torsion(spec, seed=42):
                     "closed-form and bracket torsion disagree; check omega conventions"
                 )
     is_zero, witness = _decide_zero(spec, tau, geo, seed)
-    tau_exprs = tuple(
-        ex.poly_to_expr(t) if isinstance(t, Polynomial) else ex.simplify(t) for t in tau
-    )
+    tau_exprs = tuple(geo.as_expr(t) for t in tau)
     geo._cache[key] = TorsionReport(tau_exprs, is_zero, witness, tuple(tau), tuple(bracket_tau))
     return geo._cache[key]
 
@@ -557,17 +514,9 @@ def torsion_free_representative(spec, seed=42):
     geo = geometry(spec)
     report = contact_torsion(spec, seed=seed)
     tau_up = geo.raise_index(list(report.tau_ring))
-    third = Fraction(1, 3)
-    new_f = []
-    for p in range(1, geo.m + 1):
-        correction = tau_up[p - 1]
-        if geo.polynomial:
-            newf = _to_ring(spec.f[p - 1]) - geo.c_ring * correction * third
-            new_f.append(ex.poly_to_expr(newf))
-        else:
-            newf = spec.f[p - 1] - spec.C * correction * ex.Num(third)
-            new_f.append(ex.simplify(newf))
-    return replace(spec, f=tuple(new_f))
+    c, _, *f = geo.raw
+    new_f = tuple(geo.as_expr(fp - c * t * Fraction(1, 3)) for fp, t in zip(f, tau_up))
+    return replace(spec, f=new_f)
 
 
 # --- filtration ranks -----------------------------------------------------------

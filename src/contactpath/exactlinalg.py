@@ -56,10 +56,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def commutator(a, b):
-    return matsub(matmul(a, b), matmul(b, a))
-
-
 def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
@@ -128,18 +124,3 @@ def solve(a, b):
         x[c] = red[r][ncols]
     return x
 
-
-def nullspace(a):
-    """Basis (list of vectors) of the right null space."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis

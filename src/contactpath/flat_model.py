@@ -6,6 +6,13 @@ identities here — frame/coframe duality, the bracket table, the structure
 equation d Theta + Theta ^ Theta = 0, the isotropic-Grassmannian contact
 forms — are checked by exact coefficient arithmetic.  No atlas, no manifold
 machinery: everything happens in one chart.
+
+`VectorField`, `OneForm` and `TwoForm` share one sparse component algebra
+(`_Components`: sum, difference, negation, `scale`, `map`) and add only their
+geometry.  Every non-constant entry of the frame, the coframe and the
+Grassmannian forms is an omega-contraction such as omega_ip u^p, computed once
+per function by `contract`.  Components may also be expression trees; the
+engine maps the polynomial frame to trees for non-polynomial specs.
 """
 
 import itertools
@@ -22,15 +29,19 @@ PZERO = Polynomial()
 PONE = Polynomial.constant(1)
 
 
-def _pc(x):
-    return Polynomial.coerce(x)
-
-
-def _ring_mul(factor, value):
-    """Multiply a component by a coefficient from either ring."""
-    if isinstance(value, Polynomial) and isinstance(factor, (int, float, Fraction, Polynomial)):
-        return _pc(factor) * value
-    return factor * value
+def contract(matrix, vec, zero=PZERO):
+    """The omega-contraction [sum_q matrix[i][q] vec[q]] over the nonzero
+    entries of each row, each product written vec[q] * w; `zero` where a row
+    has none."""
+    out = []
+    for row in matrix:
+        acc = None
+        for w, v in zip(row, vec):
+            if w:
+                term = v * w
+                acc = term if acc is None else acc + term
+        out.append(zero if acc is None else acc)
+    return out
 
 
 # --- chart ----------------------------------------------------------------
@@ -74,31 +85,43 @@ def grassmann_chart(n, k):
 
 # --- fields and forms -------------------------------------------------------
 
-class VectorField:
-    """Derivation with one component per coordinate; components are ring elements."""
+class _Components:
+    """Sparse components keyed by coordinate (or coordinate pair), zero
+    entries dropped: the module structure shared by fields and forms."""
 
     __slots__ = ("components",)
 
     def __init__(self, components=None):
         self.components = {k: v for k, v in (components or {}).items() if not _is_zero(v)}
 
+    def map(self, fn):
+        return type(self)({k: fn(v) for k, v in self.components.items()})
+
     def __add__(self, other):
         out = dict(self.components)
         for k, v in other.components.items():
             out[k] = v if k not in out else out[k] + v
-        return VectorField(out)
+        return type(self)(out)
 
     def __sub__(self, other):
         out = dict(self.components)
         for k, v in other.components.items():
             out[k] = -v if k not in out else out[k] - v
-        return VectorField(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return VectorField({k: -v for k, v in self.components.items()})
+        return self.map(lambda v: -v)
 
     def scale(self, factor):
-        return VectorField({k: _ring_mul(factor, v) for k, v in self.components.items()})
+        return self.map(lambda v: factor * v)
+
+    __mul__ = scale  # `contract` writes its products as component * w
+
+
+class VectorField(_Components):
+    """Derivation with one component per coordinate; components are ring elements."""
+
+    __slots__ = ()
 
     def apply(self, func):
         """Directional derivative of a ring element."""
@@ -144,29 +167,8 @@ def lie_bracket(x, y):
     return VectorField(out)
 
 
-class OneForm:
-    __slots__ = ("components",)
-
-    def __init__(self, components=None):
-        self.components = {k: v for k, v in (components or {}).items() if not _is_zero(v)}
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = v if k not in out else out[k] + v
-        return OneForm(out)
-
-    def __sub__(self, other):
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = -v if k not in out else out[k] - v
-        return OneForm(out)
-
-    def __neg__(self):
-        return OneForm({k: -v for k, v in self.components.items()})
-
-    def scale(self, factor):
-        return OneForm({k: _ring_mul(factor, v) for k, v in self.components.items()})
+class OneForm(_Components):
+    __slots__ = ()
 
     def pair(self, field):
         total = None
@@ -199,28 +201,10 @@ class OneForm:
         return f"OneForm({body or 0})"
 
 
-class TwoForm:
+class TwoForm(_Components):
     """Keys are coordinate pairs (a, b) with a < b lexicographically."""
 
-    __slots__ = ("components",)
-
-    def __init__(self, components=None):
-        self.components = {k: v for k, v in (components or {}).items() if not _is_zero(v)}
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = v if k not in out else out[k] + v
-        return TwoForm(out)
-
-    def __sub__(self, other):
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = -v if k not in out else out[k] - v
-        return TwoForm(out)
-
-    def scale(self, factor):
-        return TwoForm({k: _ring_mul(factor, v) for k, v in self.components.items()})
+    __slots__ = ()
 
     def is_zero(self):
         return not self.components
@@ -341,9 +325,8 @@ def eval_wedge_of_two_forms(gram_matrices, size):
 
 # --- the projectivized-contact-bundle frame --------------------------------
 
-def _omega(n, omega=None):
-    m = 2 * n - 4
-    return [list(map(Fraction, row)) for row in (standard_omega(m) if omega is None else omega)]
+def _omega(size, omega=None):
+    return [list(map(Fraction, row)) for row in (standard_omega(size) if omega is None else omega)]
 
 
 def frame(n, omega=None):
@@ -353,43 +336,30 @@ def frame(n, omega=None):
     """
     if n < 3:
         raise UnsupportedDimensionError("frame requires n >= 3")
-    om = _omega(n, omega)
     m = 2 * n - 4
+    om = _omega(m, omega)
     u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
     u0 = Polynomial.variable("u0")
     x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
     x0 = Polynomial.variable("x0")
     t = Polynomial.variable("t")
 
-    def X_inf():
-        return VectorField({"t": PONE, "z": x0})
+    ou = contract(om, u)  # omega_ip u^p
+    ox = contract(om, x)  # omega_iq x^q
 
-    def X_0():
-        return VectorField({"x0": PONE, "z": -t})
-
-    def X_i(i):
-        dz = PZERO
-        for q in range(1, m + 1):
-            dz = dz + om[i - 1][q - 1] * x[q - 1]
-        return VectorField({f"x{i}": PONE, "z": dz})
-
+    X = [VectorField({f"x{i}": PONE, "z": ox[i - 1]}) for i in range(1, m + 1)]
+    X_0 = VectorField({"x0": PONE, "z": -t})
     fields = {}
     for i in range(1, m + 1):
-        du0 = PZERO
-        for p in range(1, m + 1):
-            du0 = du0 + om[i - 1][p - 1] * u[p - 1]
-        fields[f"A{i}"] = VectorField({f"u{i}": PONE, "u0": du0})
-    tm10 = X_inf() + X_0().scale(u0)
+        fields[f"A{i}"] = VectorField({f"u{i}": PONE, "u0": ou[i - 1]})
+    tm10 = VectorField({"t": PONE, "z": x0}) + X_0.scale(u0)
     for p in range(1, m + 1):
-        tm10 = tm10 + X_i(p).scale(u[p - 1])
+        tm10 = tm10 + X[p - 1].scale(u[p - 1])
     fields["T(-1,0)"] = tm10
     for i in range(1, m + 1):
-        coeff = PZERO
-        for p in range(1, m + 1):
-            coeff = coeff + om[i - 1][p - 1] * u[p - 1]
-        fields[f"E{i}"] = X_i(i) + X_0().scale(coeff)
+        fields[f"E{i}"] = X[i - 1] + X_0.scale(ou[i - 1])
     fields["T(0,-2)"] = VectorField({"u0": PONE})
-    fields["T(-1,-2)"] = X_0()
+    fields["T(-1,-2)"] = X_0
     fields["T(-2,-2)"] = VectorField({"z": PONE})
     return fields
 
@@ -402,39 +372,27 @@ def coframe(n, omega=None):
     """
     if n < 3:
         raise UnsupportedDimensionError("coframe requires n >= 3")
-    om = _omega(n, omega)
     m = 2 * n - 4
+    om = _omega(m, omega)
     u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
     u0 = Polynomial.variable("u0")
     x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
     x0 = Polynomial.variable("x0")
     t = Polynomial.variable("t")
 
+    om_t = ela.transpose(om)
+    uo = contract(om_t, u)  # omega_pq u^p
+    xo = contract(om_t, x)  # omega_pq x^p
+
     forms = {"theta(-1,0)": OneForm({"t": PONE})}
     for i in range(1, m + 1):
         forms[f"theta{i}"] = OneForm({f"u{i}": PONE})
         forms[f"eta{i}"] = OneForm({f"x{i}": PONE, "t": -u[i - 1]})
-    comps = {"x0": PONE, "t": -u0}
-    for q in range(1, m + 1):
-        acc = PZERO
-        for p in range(1, m + 1):
-            acc = acc + om[p - 1][q - 1] * u[p - 1]
-        comps[f"x{q}"] = comps.get(f"x{q}", PZERO) + acc
-    forms["theta(-1,-2)"] = OneForm(comps)
-    comps = {"z": PONE, "x0": t, "t": -x0}
-    for q in range(1, m + 1):
-        acc = PZERO
-        for p in range(1, m + 1):
-            acc = acc + om[p - 1][q - 1] * x[p - 1]
-        comps[f"x{q}"] = comps.get(f"x{q}", PZERO) + acc
-    forms["theta(-2,-2)"] = OneForm(comps)
-    comps = {"u0": PONE}
-    for q in range(1, m + 1):
-        acc = PZERO
-        for p in range(1, m + 1):
-            acc = acc + om[p - 1][q - 1] * u[p - 1]
-        comps[f"u{q}"] = acc
-    forms["theta(0,-2)"] = OneForm(comps)
+    dx_uo = {f"x{q}": v for q, v in enumerate(uo, 1)}
+    dx_xo = {f"x{q}": v for q, v in enumerate(xo, 1)}
+    forms["theta(-1,-2)"] = OneForm({"x0": PONE, "t": -u0, **dx_uo})
+    forms["theta(-2,-2)"] = OneForm({"z": PONE, "x0": t, "t": -x0, **dx_xo})
+    forms["theta(0,-2)"] = OneForm({"u0": PONE, **{f"u{q}": v for q, v in enumerate(uo, 1)}})
     return forms
 
 
@@ -460,47 +418,32 @@ def pdq_frame(n, omega=None):
     """
     if n < 3:
         raise UnsupportedDimensionError("pdq_frame requires n >= 3")
-    om = _omega(n, omega)
     m = 2 * n - 4
+    om = _omega(m, omega)
     u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
     u0 = Polynomial.variable("u0")
     x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
     p = Polynomial.variable("p")
 
+    ou = contract(om, u)  # omega_iq u^q
     # The 1/2 in the horizontal lift matches T(-2,-2) = (1/2) d/dz in this
     # chart; it is forced by [E_i, E_j] = -2 omega_ij T(-2,-2).
-    def X_i(i):
-        dz = PZERO
-        for q_ in range(1, m + 1):
-            dz = dz + Fraction(1, 2) * om[i - 1][q_ - 1] * x[q_ - 1]
-        return VectorField({f"x{i}": PONE, "z": dz})
+    hx = contract([[w / 2 for w in row] for row in om], x)
+    X = [VectorField({f"x{i}": PONE, "z": hx[i - 1]}) for i in range(1, m + 1)]
 
     fields = {}
     for i in range(1, m + 1):
-        du0 = PZERO
-        for q_ in range(1, m + 1):
-            du0 = du0 + om[i - 1][q_ - 1] * u[q_ - 1]
-        fields[f"A{i}"] = VectorField({f"u{i}": PONE, "u0": du0})
+        fields[f"A{i}"] = VectorField({f"u{i}": PONE, "u0": ou[i - 1]})
     fields["T(0,-2)"] = VectorField({"u0": PONE})
     for i in range(1, m + 1):
-        coeff = PZERO
-        for q_ in range(1, m + 1):
-            coeff = coeff + om[i - 1][q_ - 1] * u[q_ - 1]
-        fields[f"E{i}"] = X_i(i) + VectorField({"p": coeff})
+        fields[f"E{i}"] = X[i - 1] + VectorField({"p": ou[i - 1]})
     fields["T(-1,-2)"] = VectorField({"p": PONE})
     fields["T(-2,-2)"] = VectorField({"z": Polynomial.constant(Fraction(1, 2))})
     tm = VectorField({"q": PONE, "z": p, "p": u0})
     for q_ in range(1, m + 1):
-        tm = tm + X_i(q_).scale(u[q_ - 1])
+        tm = tm + X[q_ - 1].scale(u[q_ - 1])
     fields["T(-1,0)"] = tm
     return fields
-
-
-def pdq_chart(n):
-    m = 2 * n - 4
-    names = ["q", "p"] + [f"x{i}" for i in range(1, m + 1)] + ["z", "u0"]
-    names += [f"u{i}" for i in range(1, m + 1)]
-    return CoordChart(tuple(names))
 
 
 # --- structure equation -----------------------------------------------------
@@ -508,8 +451,8 @@ def pdq_chart(n):
 def theta_matrix(n, omega=None):
     """The flat-model connection form: a (2n) x (2n) matrix of one-forms."""
     cf = coframe(n, omega)
-    om = _omega(n, omega)
     m = 2 * n - 4
+    om = _omega(m, omega)
     d = 2 * n
     zero = OneForm()
     theta = [[zero for _ in range(d)] for _ in range(d)]
@@ -521,15 +464,12 @@ def theta_matrix(n, omega=None):
     theta[d - 2][1] = cf["theta(0,-2)"]
     theta[d - 1][0] = cf["theta(-2,-2)"]
     theta[d - 1][1] = cf["theta(-1,-2)"]
+    om_t = ela.transpose(om)
+    lowered_theta = contract(om_t, [cf[f"theta{q}"] for q in range(1, m + 1)], zero)
+    lowered_eta = contract(om_t, [cf[f"eta{q}"] for q in range(1, m + 1)], zero)
     for j in range(1, m + 1):
-        lowered_theta = OneForm()
-        lowered_eta = OneForm()
-        for q in range(1, m + 1):
-            if om[q - 1][j - 1]:
-                lowered_theta = lowered_theta + cf[f"theta{q}"].scale(om[q - 1][j - 1])
-                lowered_eta = lowered_eta + cf[f"eta{q}"].scale(om[q - 1][j - 1])
-        theta[d - 2][1 + j] = -lowered_theta
-        theta[d - 1][1 + j] = -lowered_eta
+        theta[d - 2][1 + j] = -lowered_theta[j - 1]
+        theta[d - 1][1 + j] = -lowered_eta[j - 1]
     theta[d - 1][d - 2] = -cf["theta(-1,0)"]
     return theta
 
@@ -577,27 +517,25 @@ def qk_forms(n, k, omega=None):
     if not 1 <= k <= n - 1:
         raise UnsupportedDimensionError(f"k must satisfy 1 <= k <= n-1, got {k}")
     w = 2 * (n - k)
-    om = [list(map(Fraction, row)) for row in (standard_omega(w) if omega is None else omega)]
+    om = _omega(w, omega)
     chart = grassmann_chart(n, k)
-    xs = {(a, i): Polynomial.variable(f"x{a}_{i}") for a in range(1, k + 1) for i in range(1, w + 1)}
 
     def ykey(a, b):
         return f"y{min(a, b)}{max(a, b)}"
 
+    om_half_t = [[v / 2 for v in col] for col in ela.transpose(om)]
+    xa = {a: [Polynomial.variable(f"x{a}_{p}") for p in range(1, w + 1)] for a in range(1, k + 1)}
+    ox = {a: contract(om, xa[a]) for a in xa}  # omega_ip x_a^p
+    hxo = {a: contract(om_half_t, xa[a]) for a in xa}  # (1/2) omega_pq x_a^p
+
     theta = {}
     for a in range(1, k + 1):
         for b in range(a, k + 1):
+            # dy_ab + (1/2) omega_pq (x_a^p dx_b^q + x_b^p dx_a^q)
             comps = {ykey(a, b): PONE}
-            for q in range(1, w + 1):
-                acc = PZERO
-                for p in range(1, w + 1):
-                    acc = acc + Fraction(1, 2) * om[p - 1][q - 1] * xs[(a, p)]
-                comps[f"x{b}_{q}"] = comps.get(f"x{b}_{q}", PZERO) + acc
-            for q in range(1, w + 1):
-                acc = PZERO
-                for p in range(1, w + 1):
-                    acc = acc + Fraction(1, 2) * om[p - 1][q - 1] * xs[(b, p)]
-                comps[f"x{a}_{q}"] = comps.get(f"x{a}_{q}", PZERO) + acc
+            for c, d in ((b, a), (a, b)):
+                for q in range(1, w + 1):
+                    comps[f"x{c}_{q}"] = comps.get(f"x{c}_{q}", PZERO) + hxo[d][q - 1]
             theta[(a, b)] = OneForm(comps)
 
     omega_forms = {key: form.d() for key, form in theta.items()}
@@ -607,12 +545,9 @@ def qk_forms(n, k, omega=None):
         for i in range(1, w + 1):
             comps = {f"x{a}_{i}": PONE}
             for s in range(1, k + 1):
-                acc = PZERO
-                for p in range(1, w + 1):
-                    acc = acc + om[i - 1][p - 1] * xs[(s, p)]
                 # symmetric-coordinate convention: off-diagonal pairs carry 1/2
                 factor = PONE if s == a else Polynomial.constant(Fraction(1, 2))
-                comps[ykey(s, a)] = comps.get(ykey(s, a), PZERO) + factor * acc
+                comps[ykey(s, a)] = factor * ox[s][i - 1]
             fields[(i, a)] = VectorField(comps)
 
     vertical = {}

@@ -164,20 +164,6 @@ class Polynomial:
             return _ZERO
         return total
 
-    def substitute(self, env):
-        """Substitute polynomials (or scalars) for a subset of variables."""
-        result = Polynomial()
-        for mono, c in self.terms.items():
-            term = Polynomial.constant(c)
-            for v, e in mono:
-                rep = env.get(v)
-                if rep is None:
-                    term = term * Polynomial.variable(v) ** e
-                else:
-                    term = term * Polynomial.coerce(rep) ** e
-            result = result + term
-        return result
-
     def __repr__(self):
         return f"Polynomial({self})"
 

@@ -195,18 +195,9 @@ def classify_imaginary(p):
     return REFLECTION if n2 < 0 else COMPLEX_STRUCTURE
 
 
-def _stack_matrix_reps(xs):
-    rows = []
-    for x in xs:
-        m = SplitQuaternion.coerce(x).matrix_rep()
-        rows.append(list(m[0]))
-        rows.append(list(m[1]))
-    return rows
-
-
 def module_rank(xs):
     """Rank in {0, 1, 2} of an element of A^n viewed as a linear map L -> V."""
-    rows = _stack_matrix_reps(xs)
+    rows = [row for x in xs for row in SplitQuaternion.coerce(x).matrix_rep()]
     if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
         return exact_rank([[Fraction(v) for v in row] for row in rows])
     import numpy as np

@@ -242,6 +242,34 @@ def test_nonpolynomial_output_unchanged(spec, digest, tmp_path, monkeypatch, cap
     assert h.hexdigest() == digest
 
 
+# The same digests for specs with a constant C other than 1 or a
+# non-standard omega, where the normalized data is f / C; recorded before
+# each Geometry settled its ring once, so that settling it once must
+# reproduce every printed string.
+GOLDEN_CONSTANT_C = [
+    ({"C": "2", "n": 3, "f0": "u1^3 + x1*u2", "f": ["u1*u2", "x2 - u2^2"]},
+     "96ecb469c9779785c55206443359ed454266d51a76e41d47cb6fe34dfe01f346"),
+    ({"n": 3, "C": "3", "f0": "sin(x1) + 2*u1", "f": ["6*u1^2", "exp(u2/2)"]},
+     "5a3f2528c2d25a035be386cd28803d21b049fa52bd4c0ea61bb219999d1025b2"),
+    ({"n": 4, "C": "-1/2", "f0": "log(1 + u1^2) + u3*x2", "f": ["u2", "x1*u4", "3*u1^2", "0"]},
+     "ef0de93d5b4e91db7490564842784e9da59fb3af8473e6dfaaf189f186b3fb0e"),
+    ({"n": 4, "C": "5", "omega": [[0, "1/2", 0, 1], ["-1/2", 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
+      "f0": "u1*u2 + cos(x3)", "f": ["u3^2", "exp(u1) - x2", "2*u4*u2", "1/3*x1"]},
+     "044e743cc4d220fdff4d1cbbc450a5d53d88f727cf2ae1fe7d4ccda5dee4fa55"),
+    ({"n": 4, "C": "5", "omega": [[0, "1/2", 0, 1], ["-1/2", 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
+      "f0": "u1*u2 + x3^2", "f": ["u3^2", "x2 - u1", "2*u4*u2", "1/3*x1"]},
+     "08608a19a6b56f1624504c7583cbcd2a845b74dc694707cb612ea6c4b83ef2fe"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, digest", GOLDEN_CONSTANT_C,
+    ids=["c2-poly", "c3-mixed", "c-half-log", "omega-c5-mixed", "omega-c5-poly"],
+)
+def test_constant_c_output_unchanged(spec, digest, tmp_path, monkeypatch, capsys):
+    test_nonpolynomial_output_unchanged(spec, digest, tmp_path, monkeypatch, capsys)
+
+
 def test_library_bug_exits_internal_error(tmp_path, monkeypatch, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_TORSION)
@@ -298,6 +326,9 @@ def test_integrate_step_underflow_is_a_verification_failure(tmp_path, capsys):
     '{"n": 3, "f0": "u1", "f": 5}',
     '{"n": 3, "omega": 1, "f0": "u1", "f": ["0", "0"]}',
     '{"n": 3, "omega": [1, 2], "f0": "u1", "f": ["0", "0"]}',
+    # a divisor or negative-power base without variables that is zero
+    '{"n": 3, "f0": "sin(x1) + u1/(1 - 1)", "f": ["0", "0"]}',
+    '{"n": 3, "f0": "u1*(2 - 2)^-1", "f": ["0", "0"]}',
 ])
 def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"

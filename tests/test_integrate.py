@@ -1,11 +1,12 @@
 import hashlib
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from contactpath import integrate as integrate_mod
-from contactpath.engine import flat_spec, spec_from_dict
+from contactpath.engine import flat_spec, geometry, spec_from_dict
 from contactpath.errors import SingularArcError
 from contactpath.integrate import integrate
 
@@ -158,3 +159,51 @@ def test_fixed_step_reuses_first_stage(monkeypatch):
     # one evaluation at the initial point, then three stages and the check
     # at the new state, which is the next step's first stage
     assert len(calls) == 4 * steps + 1
+
+
+# The right-hand side and the residual columns are written out by hand for
+# speed; these specs tie them to the geometry's generating field and coframe.
+OMEGA4 = [[0, 2, 0, 1], [-2, 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]]
+HAND_COPY_SPECS = [
+    flat_spec(3),
+    spec_from_dict({"n": 3, "f0": "2*u1*u2 + x1", "f": ["u2^2 - 3*x2", "u1*x1 - z"]}),
+    spec_from_dict({"n": 3, "C": "2 + u1", "f0": "u2*t", "f": ["x0*u2", "-u1^2"]}),
+    spec_from_dict({"n": 4, "omega": OMEGA4, "C": "3", "f0": "u1*u3 - x4",
+                    "f": ["u2*x1", "2*u4", "x3*u1 + 1", "-u3^2"]}),
+]
+
+
+def _integer_states(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-3, 4, size=(count, spec.chart().dim))
+
+
+@pytest.mark.parametrize("spec", HAND_COPY_SPECS, ids=["flat", "poly", "poly-c", "omega"])
+def test_rhs_equals_generating_field(spec):
+    # integer data and small integer states keep every float product exact
+    rhs = integrate_mod._compile_rhs(spec)
+    x_raw = geometry(spec).x_raw()
+    chart = spec.chart()
+    for state in _integer_states(spec, 12, seed=3):
+        point = {nm: Fraction(int(v)) for nm, v in zip(chart.names, state)}
+        assert list(rhs(state.astype(float))[0]) == x_raw.evaluate(chart, point)
+
+
+@pytest.mark.parametrize("spec", HAND_COPY_SPECS, ids=["flat", "poly", "poly-c", "omega"])
+def test_residuals_equal_coframe_pairings(spec):
+    # along a path linear in t the five-point velocity is the slope itself
+    chart = spec.chart()
+    start, slope = _integer_states(spec, 2, seed=5)
+    ts = np.arange(9) / 8
+    states = start + ts[:, None] * slope
+    contact, secondary = integrate_mod._residuals(spec, ts, states.astype(float))
+    coframe = geometry(spec).coframe
+    for key, got in (("theta(-2,-2)", contact), ("theta(-1,-2)", secondary)):
+        want = []
+        for t in ts:
+            point = {nm: Fraction(int(a)) + Fraction(t) * int(b)
+                     for nm, a, b in zip(chart.names, start, slope)}
+            form = coframe[key].evaluate(chart, point)
+            want.append(float(sum(c * int(b) for c, b in zip(form, slope))))
+        scale = max(1.0, max(abs(w) for w in want))
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
