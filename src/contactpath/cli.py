@@ -129,18 +129,19 @@ def cmd_flat_check(args):
     algebra = graded_sp.build(n, "P12")
     names = algebra.negative_names()
     cap = {nm: nm[0].upper() + nm[1:] if not nm.startswith("t") else "T" + nm[1:] for nm in names}
+    constants = {
+        (na, nb): algebra.bracket_names(na, nb) for i, na in enumerate(names) for nb in names[i + 1:]
+    }
     for frame_fields, label in ((fr, "frame brackets match structure constants"),
                                 (flat_model.pdq_frame(n), "alternative (p,q) frame brackets")):
         ok = True
-        for i, na in enumerate(names):
-            for nb in names[i + 1:]:
-                got = flat_model.lie_bracket(frame_fields[cap[na]], frame_fields[cap[nb]])
-                expect = flat_model.VectorField({})
-                for tgt, c in algebra.bracket_names(na, nb).items():
-                    expect = expect + frame_fields[cap[tgt]].scale(c)
-                diff = got - expect
-                if diff.components:
-                    ok = False
+        for (na, nb), want in constants.items():
+            got = flat_model.lie_bracket(frame_fields[cap[na]], frame_fields[cap[nb]])
+            expect = flat_model.VectorField({})
+            for tgt, c in want.items():
+                expect = expect + frame_fields[cap[tgt]].scale(c)
+            if (got - expect).components:
+                ok = False
         checks.append((label, ok))
 
     res = flat_model.maurer_cartan_residual(n)

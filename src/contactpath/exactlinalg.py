@@ -1,8 +1,8 @@
 """Small dense linear algebra over exact rationals.
 
 Matrices are lists of lists of Fraction (or int, coerced on entry).  Sizes in
-this package stay below ~150 rows, so plain fraction-free-ish Gaussian
-elimination is plenty fast and keeps every result exact.
+this package stay below ~150 rows, so plain Gauss-Jordan elimination over
+Fractions is plenty fast and keeps every result exact.
 """
 
 from fractions import Fraction
@@ -101,7 +101,8 @@ def rank(a):
 
 def inverse(a):
     n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(fmat(a))]
+    ident = identity(n)
+    aug = [row + ident[i] for i, row in enumerate(fmat(a))]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")

@@ -183,7 +183,7 @@ class OneForm(_Components):
         """Exterior derivative."""
         out = {}
         for coord, comp in self.components.items():
-            for var in _vars_of(comp):
+            for var in sorted(_vars_of(comp)):
                 if var == coord:
                     continue
                 key, sign = ((var, coord), 1) if var < coord else ((coord, var), -1)

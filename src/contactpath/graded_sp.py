@@ -70,19 +70,28 @@ class G0Element:
 
 
 def _freeze(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in m)
 
 
-def _sparse_mul(a_entries, b_by_row):
+def _add(out, key, value):
+    """out[key] += value, keeping only nonzero entries."""
+    s = out.get(key, 0) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _sparse_mul(a_entries, b_entries):
+    """Product of two matrices given as (row, col, value) entries, as a
+    {(row, col): value} dict without zeros."""
+    b_by_row = {}
+    for r, c, v in b_entries:
+        b_by_row.setdefault(r, []).append((c, v))
     out = {}
     for r, k, va in a_entries:
         for c, vb in b_by_row.get(k, ()):
-            key = (r, c)
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add(out, (r, c), va * vb)
     return out
 
 
@@ -109,13 +118,7 @@ class GradedLieAlgebra:
         self.symplectic_form = _freeze(self._big_omega())
         self.basis = self._build_basis()
         self.index = {b.name: i for i, b in enumerate(self.basis)}
-        self._by_row = {}
-        for i, b in enumerate(self.basis):
-            rows = {}
-            for r, c, v in b.entries:
-                rows.setdefault(r, []).append((c, v))
-            self._by_row[i] = rows
-        self._gram_solvers = self._build_gram_solvers()
+        self._index_basis()
 
     # --- construction ------------------------------------------------------
     def _check_omega(self):
@@ -143,7 +146,6 @@ class GradedLieAlgebra:
     def _build_basis(self):
         n, m = self.n, self.m
         d = 2 * n
-        om = self.omega
         basis = []
 
         def mat():
@@ -152,43 +154,20 @@ class GradedLieAlgebra:
         def add(name, mtx, bideg):
             basis.append(BasisElement(name, _freeze(mtx), bideg))
 
-        # negative part, matrices read off the general element of g_-
-        t = mat()
-        t[1][0] = Fraction(1)
-        t[d - 1][d - 2] = Fraction(-1)
-        add("t(-1,0)", t, (-1, 0))
-        for p in range(1, m + 1):
-            a = mat()
-            a[1 + p][1] = Fraction(1)
-            for q in range(1, m + 1):
-                a[d - 2][1 + q] = -om[p - 1][q - 1]
-            add(f"a{p}", a, (0, -1))
-        t = mat()
-        t[d - 2][1] = Fraction(1)
-        add("t(0,-2)", t, (0, -2))
-        for p in range(1, m + 1):
-            e = mat()
-            e[1 + p][0] = Fraction(1)
-            for q in range(1, m + 1):
-                e[d - 1][1 + q] = -om[p - 1][q - 1]
-            add(f"e{p}", e, (-1, -1))
-        t = mat()
-        t[d - 2][0] = Fraction(1)
-        t[d - 1][1] = Fraction(1)
-        add("t(-1,-2)", t, (-1, -2))
-        t = mat()
-        t[d - 1][0] = Fraction(1)
-        add("t(-2,-2)", t, (-2, -2))
+        for name, mtx, bideg in self._negative_part(self.omega):
+            add(name, mtx, bideg)
 
-        # positive part: sp(n) is transpose-closed and transposition negates
-        # the bidegree, so transposes of the negative basis span p^+
-        for b in list(basis):
-            if b.name.startswith("t("):
-                pos = "t(" + ",".join(str(-int(x)) for x in b.name[2:-1].split(",")) + ")"
+        # positive part: X is in sp(Omega) iff X^T is in sp(Omega^{-1}), the
+        # form with middle block omega^{ij} up to an overall sign, and
+        # transposition negates the bidegree; so the transposes of the
+        # negative part built on omega^{ij} span p^+ (for the standard omega,
+        # omega^{ij} = omega_{ij})
+        for name, mtx, bideg in self._negative_part(self.omega_upper):
+            if name.startswith("t("):
+                pos = "t(" + ",".join(str(-int(x)) for x in name[2:-1].split(",")) + ")"
             else:
-                pos = b.name[0] + "*" + b.name[1:]
-            mtx = ela.transpose([list(row) for row in b.matrix])
-            add(pos, mtx, (-b.bidegree[0], -b.bidegree[1]))
+                pos = name[0] + "*" + name[1:]
+            add(pos, ela.transpose(mtx), (-bideg[0], -bideg[1]))
 
         # g_{0,0}: two grading directions plus the middle sp(m) block
         h = mat()
@@ -206,6 +185,44 @@ class GradedLieAlgebra:
                     full[2 + r][2 + c] = middle[r][c]
             add(f"s{i + 1}", full, (0, 0))
         return basis
+
+    def _negative_part(self, om):
+        """(name, matrix, bidegree) of g_-, read off its general element for
+        the middle form `om`."""
+        n, m = self.n, self.m
+        d = 2 * n
+        out = []
+
+        def mat():
+            return ela.zeros(d, d)
+
+        t = mat()
+        t[1][0] = Fraction(1)
+        t[d - 1][d - 2] = Fraction(-1)
+        out.append(("t(-1,0)", t, (-1, 0)))
+        for p in range(1, m + 1):
+            a = mat()
+            a[1 + p][1] = Fraction(1)
+            for q in range(1, m + 1):
+                a[d - 2][1 + q] = -om[p - 1][q - 1]
+            out.append((f"a{p}", a, (0, -1)))
+        t = mat()
+        t[d - 2][1] = Fraction(1)
+        out.append(("t(0,-2)", t, (0, -2)))
+        for p in range(1, m + 1):
+            e = mat()
+            e[1 + p][0] = Fraction(1)
+            for q in range(1, m + 1):
+                e[d - 1][1 + q] = -om[p - 1][q - 1]
+            out.append((f"e{p}", e, (-1, -1)))
+        t = mat()
+        t[d - 2][0] = Fraction(1)
+        t[d - 1][1] = Fraction(1)
+        out.append(("t(-1,-2)", t, (-1, -2)))
+        t = mat()
+        t[d - 1][0] = Fraction(1)
+        out.append(("t(-2,-2)", t, (-2, -2)))
+        return out
 
     def _middle_sp_basis(self):
         """Basis of sp(omega) on the middle block.
@@ -226,36 +243,41 @@ class GradedLieAlgebra:
                 basis.append(ela.matmul(om_inv, sym))
         return basis
 
-    def _build_gram_solvers(self):
-        """Per-bidegree-pair inverted Gram blocks of the trace form.
+    def _index_basis(self):
+        """Position index and inverted Gram blocks of the trace form.
 
-        tr(XY) pairs g_I with g_{-I} only, so coefficient extraction reduces
-        to small block solves; this keeps expansion exact and fast.
+        `_at[(c, r)]` lists (j, B_j[r][c]), so the trace pairings
+        tr(B_j M) = sum B_j[r][c] M[c][r] of a sparse M are read off its
+        nonzero entries alone.  tr(XY) pairs g_I with g_{-I} only, so
+        coefficient extraction reduces to block solves: `_solve_col[j]`
+        lists (i, w) with coefficient_i = sum_j w * tr(B_j M), the nonzero
+        entries of column j of the inverted Gram block of B_j's component.
         """
+        self._at = {}
+        for j, b in enumerate(self.basis):
+            for r, c, v in b.entries:
+                self._at.setdefault((c, r), []).append((j, v))
         groups = {}
         for i, b in enumerate(self.basis):
             groups.setdefault(b.bidegree, []).append(i)
-        solvers = {}
+        self._solve_col = {}
         for bideg, idxs in groups.items():
-            dual = (-bideg[0], -bideg[1])
-            dual_idxs = groups.get(dual)
+            dual_idxs = groups.get((-bideg[0], -bideg[1]))
             if dual_idxs is None:
                 raise InconsistencyError(f"no dual component for bidegree {bideg}")
             # rows indexed by the dual component so that c = gram^{-1} rhs
-            gram = [
-                [self._trace_pair(j, i) for i in idxs] for j in dual_idxs
-            ]
-            solvers[bideg] = (idxs, dual_idxs, ela.inverse(gram))
-        return solvers
+            pairings = [self._pairings({(r, c): v for r, c, v in self.basis[i].entries}) for i in idxs]
+            inv_gram = ela.inverse([[p.get(j, 0) for p in pairings] for j in dual_idxs])
+            for col, j in enumerate(dual_idxs):
+                self._solve_col[j] = [(i, row[col]) for row, i in zip(inv_gram, idxs) if row[col]]
 
-    def _trace_pair(self, i, j):
-        total = Fraction(0)
-        rows_j = self._by_row[j]
-        for r, c, v in self.basis[i].entries:
-            for c2, v2 in rows_j.get(c, ()):
-                if c2 == r:
-                    total += v * v2
-        return total
+    def _pairings(self, entries):
+        """{j: tr(B_j M)} over the nonzero pairings of M = {(r, c): value}."""
+        out = {}
+        for pos, value in entries.items():
+            for j, v in self._at.get(pos, ()):
+                _add(out, j, v * value)
+        return out
 
     # --- basic queries -------------------------------------------------------
     @property
@@ -287,71 +309,50 @@ class GradedLieAlgebra:
         """Dense matrix of sum_i coeffs[name] * basis[name]."""
         d = 2 * self.n
         m = ela.zeros(d, d)
-        for name, c in coeffs.items():
-            if not c:
-                continue
-            for r, col, v in self.basis[self.index[name]].entries:
-                m[r][col] += Fraction(c) * v
+        for r, c, v in self._entries(coeffs):
+            m[r][c] += v
         return m
 
     # --- expansion and brackets ----------------------------------------------
     def expand(self, matrix):
         """Expand a matrix in the stored basis; exact, raises if not in span."""
-        coeffs = {}
-        for bideg, (idxs, dual_idxs, inv_gram) in self._gram_solvers.items():
-            rhs = [self._trace_matrix(matrix, j) for j in dual_idxs]
-            if not any(rhs):
-                continue
-            for row, i in zip(inv_gram, idxs):
-                val = sum(a * b for a, b in zip(row, rhs))
-                if val:
-                    coeffs[self.basis[i].name] = val
-        # full verification: the reconstruction must reproduce the input
-        recon = self.element_matrix(coeffs)
-        d = 2 * self.n
-        for r in range(d):
-            for c in range(d):
-                if recon[r][c] != matrix[r][c]:
-                    raise InconsistencyError(
-                        f"matrix is not in the span of the basis (entry {r},{c})"
-                    )
-        return coeffs
+        return self._expand_sparse(
+            {(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v}
+        )
 
-    def _trace_matrix(self, matrix, j):
-        total = Fraction(0)
-        for r, c, v in self.basis[j].entries:
-            total += v * matrix[c][r]
-        return total
+    def _expand_sparse(self, entries):
+        """Expand M = {(r, c): nonzero value}; the trace pairings come from
+        M's nonzero entries and only the Gram blocks they meet are solved."""
+        coeffs = {}
+        for j, rhs in self._pairings(entries).items():
+            for i, w in self._solve_col[j]:
+                _add(coeffs, i, w * rhs)
+        # full verification: the reconstruction must reproduce the input
+        recon = {}
+        for i, coef in coeffs.items():
+            for r, c, v in self.basis[i].entries:
+                _add(recon, (r, c), coef * v)
+        if recon != entries:
+            r, c = min(k for k in recon.keys() | entries.keys() if recon.get(k, 0) != entries.get(k, 0))
+            raise InconsistencyError(f"matrix is not in the span of the basis (entry {r},{c})")
+        return {self.basis[i].name: coeffs[i] for i in sorted(coeffs)}
+
+    def _entries(self, coeffs):
+        """(row, col, value) entries of each term of sum coeffs[name] * basis[name]."""
+        return [
+            (r, c, Fraction(coef) * v)
+            for name, coef in coeffs.items()
+            for r, c, v in self.basis[self.index[name]].entries
+        ]
 
     def bracket(self, a, b):
         """Bracket of two elements given as name->coefficient dicts."""
-        entries_a = []
-        entries_b = []
-        for name, coef in a.items():
-            for r, c, v in self.basis[self.index[name]].entries:
-                entries_a.append((r, c, Fraction(coef) * v))
-        for name, coef in b.items():
-            for r, c, v in self.basis[self.index[name]].entries:
-                entries_b.append((r, c, Fraction(coef) * v))
-        rows_b = {}
-        for r, c, v in entries_b:
-            rows_b.setdefault(r, []).append((c, v))
-        rows_a = {}
-        for r, c, v in entries_a:
-            rows_a.setdefault(r, []).append((c, v))
-        ab = _sparse_mul(entries_a, rows_b)
-        ba = _sparse_mul(entries_b, rows_a)
-        for key, v in ba.items():
-            s = ab.get(key, 0) - v
-            if s:
-                ab[key] = s
-            else:
-                ab.pop(key, None)
-        d = 2 * self.n
-        comm = ela.zeros(d, d)
-        for (r, c), v in ab.items():
-            comm[r][c] = v
-        return self.expand(comm)
+        entries_a = self._entries(a)
+        entries_b = self._entries(b)
+        ab = _sparse_mul(entries_a, entries_b)
+        for key, v in _sparse_mul(entries_b, entries_a).items():
+            _add(ab, key, -v)
+        return self._expand_sparse(ab)
 
     def bracket_names(self, name_a, name_b):
         return self.bracket({name_a: 1}, {name_b: 1})
@@ -483,19 +484,11 @@ class GradedLieAlgebra:
                 for ta, ca in img(nm_a).items():
                     for tb, cb in img(nm_b).items():
                         for t, c in self.bracket_names(ta, tb).items():
-                            s = lhs.get(t, 0) + ca * cb * c
-                            if s:
-                                lhs[t] = s
-                            else:
-                                lhs.pop(t, None)
+                            _add(lhs, t, ca * cb * c)
                 rhs = {}
                 for t, c in self.bracket_names(nm_a, nm_b).items():
                     for t2, c2 in img(t).items():
-                        s = rhs.get(t2, 0) + c * c2
-                        if s:
-                            rhs[t2] = s
-                        else:
-                            rhs.pop(t2, None)
+                        _add(rhs, t2, c * c2)
                 if lhs != rhs:
                     return None, f"bracket relation fails on ({nm_a}, {nm_b})"
 

@@ -94,16 +94,19 @@ def _weights_of_component(algebra, elements):
     d = 2 * n
     # Cartan direction k has +1 in its slot and -1 in the dual slot
     slots = [(0, d - 1), (1, d - 2)] + [(2 + i, 2 + m // 2 + i) for i in range(m // 2)]
+    diags = []
+    for pos, neg in slots:
+        diag = [0] * d
+        diag[pos] = 1
+        diag[neg] = -1
+        diags.append(diag)
     weights = []
     for b in elements:
         wt = []
-        for pos, neg in slots:
-            diag = [Fraction(0)] * d
-            diag[pos] = Fraction(1)
-            diag[neg] = Fraction(-1)
+        for diag in diags:
             entries = b.entries
             if not entries:
-                wt.append(Fraction(0))
+                wt.append(0)
                 continue
             r0, c0, v0 = entries[0]
             lam = diag[r0] - diag[c0]
@@ -117,60 +120,55 @@ def _weights_of_component(algebra, elements):
     return weights
 
 
+def component_weights(algebra):
+    """Map each grading component to the weights of its basis elements.
+
+    Components are keyed by bidegree for P12 and by Z-degree otherwise.
+    """
+    comp_elements = {}
+    for b in algebra.basis:
+        key = b.bidegree if algebra.parabolic == "P12" else algebra.z_degree(b.bidegree)
+        comp_elements.setdefault(key, []).append(b)
+    return {k: _weights_of_component(algebra, v) for k, v in comp_elements.items()}
+
+
 def housing(rs, labels, hom, algebra):
     """Locate the unique (I, J, K) whose subspace contains the label weight."""
-    target = rs.to_epsilon(labels)
-    if algebra.parabolic == "P12":
-        def as_key(bideg):
-            return bideg
+    return _housing(rs.to_epsilon(labels), hom, algebra.parabolic, component_weights(algebra))
 
+
+def _housing(target, hom, parabolic, comp_weights):
+    if parabolic == "P12":
         def add(i, j, k):
             return tuple(a + b + c for a, b, c in zip(i, j, k))
 
+        def negative(key):
+            return (key[0] < 0 or key[1] < 0) and key[0] <= 0 and key[1] <= 0
+
         kval = tuple(hom)
     else:
-        def as_key(bideg):
-            return algebra.z_degree(bideg)
-
         def add(i, j, k):
             return i + j + k
 
+        def negative(key):
+            return key < 0
+
         kval = hom[0]
 
-    comp_elements = {}
-    for b in algebra.basis:
-        comp_elements.setdefault(as_key(b.bidegree), []).append(b)
-    comp_weights = {k: _weights_of_component(algebra, v) for k, v in comp_elements.items()}
-
-    def negative(key):
-        if algebra.parabolic == "P12":
-            return (key[0] < 0 or key[1] < 0) and key[0] <= 0 and key[1] <= 0
-        return key < 0
-
-    neg_keys = [k for k in comp_elements if negative(k)]
+    neg_keys = [k for k in comp_weights if negative(k)]
     matches = []
     for I, J in itertools.combinations_with_replacement(sorted(neg_keys, reverse=True), 2):
         M = add(I, J, kval)
         if M not in comp_weights:
             continue
         wi = comp_weights[I]
-        wj = comp_weights[J]
         if I == J:
-            pairs = itertools.combinations(range(len(wi)), 2)
-            pair_weights = [tuple(-a - b for a, b in zip(wi[p], wi[q])) for p, q in pairs]
+            pairs = itertools.combinations(wi, 2)
         else:
-            pair_weights = [
-                tuple(-a - b for a, b in zip(x, y)) for x in wi for y in wj
-            ]
-        found = False
-        for pw in pair_weights:
-            for mw in comp_weights[M]:
-                if tuple(p + m for p, m in zip(pw, mw)) == tuple(target):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
+            pairs = itertools.product(wi, comp_weights[J])
+        # the pair weight is -(x + y); the target is it plus a weight of M
+        m_weights = set(comp_weights[M])
+        if any(tuple(t + a + b for t, a, b in zip(target, x, y)) in m_weights for x, y in pairs):
             matches.append((I, J, kval))
     if len(matches) != 1:
         raise HousingAmbiguityError(
@@ -192,6 +190,7 @@ def h2(n, parabolic):
     rs = build_root_system(n)
     crossed = PARABOLIC_NODES[parabolic]
     algebra = graded_sp.build(n, parabolic)
+    comp_weights = component_weights(algebra)
     lam = adjoint_highest_weight(n)
     comps = []
     for word in rs.hasse_words(set(crossed), 2):
@@ -203,7 +202,7 @@ def h2(n, parabolic):
         if any(h.denominator != 1 for h in hom):
             raise HousingAmbiguityError(f"non-integer homogeneity {hom} for labels {dualized}")
         hom = tuple(int(h) for h in hom)
-        house = housing(rs, dualized, hom, algebra)
+        house = _housing(rs.to_epsilon(dualized), hom, parabolic, comp_weights)
         labels = Weight(tuple(int(c) for c in dualized.coeffs))
         comps.append(H2Component(labels, hom, house))
     comps.sort(key=lambda c: (c.z_homogeneity, c.homogeneity[0]))

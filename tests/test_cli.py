@@ -337,3 +337,49 @@ def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot load spec: ")
+
+
+# sha256 of the exit code and stdout of the exact half's commands at
+# n = 3..7: `flat-check`, `brackets` in both formats, and `homology` for
+# every crossed set in both formats; recorded while brackets still expanded
+# a dense commutator against every basis element, so the sparse expansion
+# must reproduce every printed byte.
+EXACT_HALF_ARGV = {
+    "flat-check": lambda n: [["flat-check", "--n", str(n)]],
+    "brackets": lambda n: [
+        ["brackets", "--n", str(n)] + fmt for fmt in ([], ["--format", "json"])
+    ],
+    "homology": lambda n: [
+        ["homology", "--n", str(n), "--cross", cross] + fmt
+        for cross in ("1", "2", "1,2")
+        for fmt in ([], ["--format", "json"])
+    ],
+}
+GOLDEN_EXACT_HALF = {
+    ("flat-check", 3): "2200799450b08323039bd3225f0cddf925b3466194a8628f04d04f51caabf091",
+    ("flat-check", 4): "7b7c72f5eeef2878f25283dc12c3aa182c6eaf5f77c63fa48d9a37c8ac9e10e2",
+    ("flat-check", 5): "c4a0e9fa913067ea6737923848ac9e5ccb3292b642bcb45869058aa1e6e2fcd9",
+    ("flat-check", 6): "5c5ff75fcd56407153ba0f49c7a75ceee03182975274744d1324239779c82271",
+    ("flat-check", 7): "f958b318b23e926cda2e52121e4dc49ccfe92b072f67050f24380203755bfbff",
+    ("brackets", 3): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
+    ("brackets", 4): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
+    ("brackets", 5): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
+    ("brackets", 6): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
+    ("brackets", 7): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
+    ("homology", 3): "6608af4db3e997dea34b0ffa2a3e749a089d3a93efc0e3feaae163c605367749",
+    ("homology", 4): "c84fbc148bae3fed46c42450b62588d337f48e3329430fbbae14a663ca45d41f",
+    ("homology", 5): "f95386f314f30a8b72ff67b74d00f7688e46869b11a4f284cc36f20be92281c0",
+    ("homology", 6): "47f78f61e0ad1dad92cbd8224701143e798ac4315d7f83ed95967be84efc2660",
+    ("homology", 7): "3819be85a12b6f845debacca67f27130d3c78e305fb208ab4f0b1ac0ff22e7d2",
+}
+
+
+@pytest.mark.parametrize(
+    "command, n", list(GOLDEN_EXACT_HALF), ids=[f"{c}-{n}" for c, n in GOLDEN_EXACT_HALF],
+)
+def test_exact_half_output_unchanged(command, n, capsys):
+    h = hashlib.sha256()
+    for argv in EXACT_HALF_ARGV[command](n):
+        code, out, _ = run_cli(argv, capsys)
+        h.update(f"{code}\n{out}\n".encode())
+    assert h.hexdigest() == GOLDEN_EXACT_HALF[command, n]

@@ -1,10 +1,14 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import contactpath
 from contactpath import engine
 from contactpath import expr as ex
 from contactpath import flat_model as fm
@@ -536,3 +540,34 @@ def test_transcendental_filtration_fields_stay_small():
     assert total < 10_000
     for point in _float_points(rep, 2, seed=3):
         assert filtration_ranks(rep, point).as_tuple() == RankTable.expected(3)
+
+
+_NU_PROBE = """
+import hashlib
+from contactpath import engine
+spec = engine.spec_from_dict({
+    "n": 4, "f0": "u1*u2 + x3^2*u4", "f": ["u3^2", "x2 - u1*u4", "2*u4*u2", "1/3*x1*u2"],
+})
+geo = engine.geometry(spec)
+nu = geo.nu_form()
+point = {name: 0.1 * (k + 1) - 0.37 for k, name in enumerate(geo.chart.names)}
+print(list(nu.components))
+print(hashlib.sha256(geo.eval_fields("nu", [nu], point).tobytes()).hexdigest())
+"""
+
+
+def test_nu_form_independent_of_hash_seed():
+    # the key order of nu, and with it the float summation order of its
+    # values, must not follow the hash seed's set iteration order
+    src = os.path.dirname(os.path.dirname(contactpath.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        run = subprocess.run([sys.executable, "-c", _NU_PROBE], capture_output=True, env=env, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]

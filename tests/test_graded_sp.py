@@ -41,6 +41,21 @@ def test_basis_in_sp(n):
         assert ela.is_zero_matrix(lhs), b.name
 
 
+@pytest.mark.parametrize("omega", [
+    [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]],
+    [[0, Fraction(1, 2), 0, 1], [Fraction(-1, 2), 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
+], ids=["n3", "n4"])
+def test_basis_in_sp_with_rational_omega(omega):
+    # for an omega with omega omega^T != 1 the transposes of g_- built on
+    # omega_{ij} itself leave sp; the positive part is built on omega^{ij}
+    g = build(len(omega) // 2 + 2, omega=omega)
+    big = [list(r) for r in g.symplectic_form]
+    for b in g.basis:
+        x = [list(r) for r in b.matrix]
+        lhs = ela.matadd(ela.matmul(ela.transpose(x), big), ela.matmul(big, x))
+        assert ela.is_zero_matrix(lhs), b.name
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_total_dimension(n):
     g = build(n, "P1")
@@ -109,11 +124,7 @@ def test_structure_constants_negative_control():
     spoiled = [list(row) for row in g.basis[idx].matrix]
     spoiled[2][0] += 1
     g.basis[idx] = BasisElement("e1", tuple(tuple(r) for r in spoiled), (-1, -1))
-    rows = {}
-    for r, c, v in g.basis[idx].entries:
-        rows.setdefault(r, []).append((c, v))
-    g._by_row[idx] = rows
-    g._gram_solvers = g._build_gram_solvers()
+    g._index_basis()
     results = g.verify_structure_constants()
     assert any(not ok for _, ok in results)
 
