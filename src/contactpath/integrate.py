@@ -13,15 +13,28 @@ not vanished, is the next step's first stage.  The per-sample residual
 columns are computed after the fact, for all samples at once, from a
 five-point finite difference estimate of the velocity, so they converge at
 the same fourth order as the scheme itself.
+
+A step runs on lists of Python floats.  Each stage and the final combination
+apply the operations of the array form `state + 0.5 * h * k1`,
+`state + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)` to each coordinate in the same
+order, and numpy evaluates those elementwise as single IEEE double
+operations, without fused multiply-add, so every float is bitwise what the
+array form gives.  A constant C is compared with `c_min` exactly, once, at
+the initial point; after that the float C is compared.  Both give one
+verdict: rounding is monotone and `c_min` is a float, so an exact C at or
+above `c_min` never rounds below it.
 """
 
-import csv
+import contextlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularArcError, StepUnderflowError
-from .lowering import compile_exprs
+from .lowering import compile_exprs, exact_constant
+
+_CSV_BLOCK = 128
 
 
 @dataclass
@@ -40,73 +53,78 @@ class Trajectory:
         return cols
 
     def write_csv(self, path_or_file):
-        close = False
+        """CSV text as `csv.writer` writes it: `repr` of each float, CRLF line
+        ends (a path is opened with newline="", so none are translated)."""
+        table = np.column_stack([self.t, self.states, self.contact_residual,
+                                 self.secondary_residual])
         if isinstance(path_or_file, (str, bytes)):
-            fh = open(path_or_file, "w", newline="", encoding="utf-8")
-            close = True
+            target = open(path_or_file, "w", newline="", encoding="utf-8")
         else:
-            fh = path_or_file
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(self.header())
-            table = np.column_stack([self.t, self.states, self.contact_residual,
-                                     self.secondary_residual])
-            writer.writerows([repr(v) for v in row.tolist()] for row in table)
-        finally:
-            if close:
-                fh.close()
+            target = contextlib.nullcontext(path_or_file)
+        with target as fh:
+            fh.write(",".join(self.header()) + "\r\n")
+            # a block of rows at a time, so the whole table is never held as
+            # Python floats and text at once
+            for start in range(0, len(table), _CSV_BLOCK):
+                rows = table[start:start + _CSV_BLOCK].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
 def _compile_rhs(spec):
     """The generating field's right-hand side, lowered once: `rhs(state)`
-    returns the derivative and the value of C at `state`."""
+    takes a list of floats and returns the derivative, as a list, and the
+    float value of C at `state`."""
     names = spec.chart().names
     m = spec.m
-    ix = {nm: i for i, nm in enumerate(names)}
-    i_t, i_x0, i_z, i_u0 = ix["t"], ix["x0"], ix["z"], ix["u0"]
-    i_x = [ix[f"x{p}"] for p in range(1, m + 1)]
-    i_u = [ix[f"u{p}"] for p in range(1, m + 1)]
+    # the derivative is built in chart order: t, x0, x1..xm, z, u0, u1..um
+    assert names == ("t", "x0", *[f"x{p}" for p in range(1, m + 1)],
+                     "z", "u0", *[f"u{p}" for p in range(1, m + 1)])
+    i_u0 = m + 3
     # the nonzero omega_pq in (p, q) order, with the slots their terms read
     omega = [(float(w), p, q) for p, row in enumerate(spec.omega) for q, w in enumerate(row) if w]
-    z_terms = [(w, i_u[p], i_x[q]) for w, p, q in omega]
-    u0_terms = [(w, p, i_u[q]) for w, p, q in omega]
+    z_terms = [(w, i_u0 + 1 + p, 2 + q) for w, p, q in omega]
+    u0_terms = [(w, p, i_u0 + 1 + q) for w, p, q in omega]
     values = compile_exprs([spec.C, spec.f0, *spec.f], names)
-    # a constant C is returned exact, as the tree walk gives it, for the
-    # comparison against c_min
-    c_exact = values.constants[0]
-    dim = len(names)
 
-    def rhs(state):
-        s = state.tolist()
+    def rhs(s):
         c, f0, *fs = values(s)
-        out = [0.0] * dim
-        out[i_t] = c
         u0 = s[i_u0]
-        out[i_x0] = u0 * c
-        for ixp, iup in zip(i_x, i_u):
-            out[ixp] = s[iup] * c
-        acc = s[i_x0] - u0 * s[i_t]
+        acc = s[1] - u0 * s[0]
         for w, iup, ixq in z_terms:
             acc += w * s[iup] * s[ixq]
-        out[i_z] = c * acc
         du0 = f0
         for w, p, iuq in u0_terms:
             du0 += w * fs[p] * s[iuq]
-        out[i_u0] = du0
-        for iup, fp in zip(i_u, fs):
-            out[iup] = fp
-        return np.array(out, dtype=float), c if c_exact is None else c_exact
+        return [c, u0 * c, *[u * c for u in s[i_u0 + 1:]], c * acc, du0, *fs], c
 
     return rhs
 
 
 def _rk4_step(rhs, state, h, first=None):
-    """One classical step; `first` is rhs(state) when the caller has it."""
+    """One classical step on a list of floats; `first` is rhs(state) when
+    the caller has it."""
     k1, c = rhs(state) if first is None else first
-    k2, _ = rhs(state + 0.5 * h * k1)
-    k3, _ = rhs(state + 0.5 * h * k2)
-    k4, _ = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), c
+    half = 0.5 * h
+    k2, _ = rhs([s + half * k for s, k in zip(state, k1)])
+    k3, _ = rhs([s + half * k for s, k in zip(state, k2)])
+    k4, _ = rhs([s + h * k for s, k in zip(state, k3)])
+    sixth = h / 6.0
+    return [s + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            for s, p1, p2, p3, p4 in zip(state, k1, k2, k3, k4)], c
+
+
+def _error_norm(two_half, full, atol, rtol):
+    """The step-doubling error estimate, max |two_half - full| scaled by
+    atol + rtol max(|two_half|, 1); nan when any term is nan, as `np.max`
+    gives it, so a non-finite estimate rejects the step."""
+    worst = 0.0
+    for x, y in zip(two_half, full):
+        e = abs(x - y) / (atol + rtol * max(abs(x), 1.0))
+        if e != e:
+            return e
+        if e > worst:
+            worst = e
+    return worst
 
 
 def _residuals(spec, ts, states):
@@ -167,59 +185,63 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
     """
     chart = spec.chart()
     if isinstance(init, dict):
-        state = np.array([float(init[nm]) for nm in chart.names])
+        state = [float(init[nm]) for nm in chart.names]
     else:
         init = list(init)
         if len(init) != chart.dim:
             raise ValueError(f"init must supply {chart.dim} coordinates")
-        state = np.array([float(v) for v in init])
+        state = [float(v) for v in init]
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    if adaptive and atol == 0 and rtol == 0:
+        # every error estimate would be inf or nan, and no step accepted
+        raise ValueError("adaptive mode needs atol or rtol nonzero")
     rhs = _compile_rhs(spec)
     first = rhs(state)
-    if abs(first[1]) < c_min:
-        raise SingularArcError("C vanishes at the initial point", t0, state.copy())
+    c_start = exact_constant(spec.C)
+    if abs(first[1] if c_start is None else c_start) < c_min:
+        raise SingularArcError("C vanishes at the initial point", t0, np.array(state))
     ts = [t0]
-    states = [state.copy()]
+    history = array("d", state)
     t = t0
     h = float(step)
     h_floor = 1e-13 * (t1 - t0)
     while t < t1 - 1e-14:
+        if t1 - t < h_floor:
+            # what is left is below the smallest step: t += h fell short of
+            # t1 by rounding
+            break
         h_eff = min(h, t1 - t)
         if h_eff < h_floor:
             raise StepUnderflowError(f"step size underflow near t = {t}")
         if not adaptive:
+            new_state, _ = _rk4_step(rhs, state, h_eff, first)
             # the right-hand side at the new state, which checks C there,
             # is the next step's first stage
-            state, first = _step_checked(rhs, state, h_eff, t, c_min, first)
+            first = rhs(new_state)
+            if abs(first[1]) < c_min:
+                raise SingularArcError("C vanished along the arc", t, np.array(state))
+            state = new_state
             t += h_eff
             ts.append(t)
-            states.append(state.copy())
+            history.extend(state)
             continue
         # step doubling: full step vs two half steps, sharing the first stage
         first = rhs(state)
         full, _ = _rk4_step(rhs, state, h_eff, first)
         half, _ = _rk4_step(rhs, state, h_eff / 2, first)
         two_half, c = _rk4_step(rhs, half, h_eff / 2)
-        err = np.max(np.abs(two_half - full) / (atol + rtol * np.maximum(np.abs(two_half), 1.0)))
+        err = _error_norm(two_half, full, atol, rtol)
         if err <= 15.0:
             if abs(c) < c_min:
-                raise SingularArcError("C vanished along the arc", t, state.copy())
+                raise SingularArcError("C vanished along the arc", t, np.array(state))
             t += h_eff
-            state = two_half + (two_half - full) / 15.0
+            state = [x + (x - y) / 15.0 for x, y in zip(two_half, full)]
             ts.append(t)
-            states.append(state.copy())
+            history.extend(state)
         factor = 0.9 * (15.0 / err) ** 0.2 if err > 0 else 4.0
         h = h_eff * min(4.0, max(0.1, factor))
     ts = np.array(ts)
-    states = np.array(states)
+    states = np.frombuffer(history).reshape(len(ts), chart.dim)
     contact, secondary = _residuals(spec, ts, states)
     return Trajectory(spec, ts, states, contact, secondary)
-
-
-def _step_checked(rhs, state, h, t, c_min, first):
-    new_state, c = _rk4_step(rhs, state, h, first)
-    following = rhs(new_state)
-    if abs(following[1]) < c_min or abs(c) < c_min:
-        raise SingularArcError("C vanished along the arc", t, state.copy())
-    return new_state, following

@@ -166,9 +166,8 @@ def compile_exprs(exprs, names):
     env the chart values `s` (a list of floats in `names` order), bitwise.
 
     A root with no variable gives `float` of its exact value, which
-    `values.constants` holds (None for the other roots).  Python floats raise
-    OverflowError in `**` where numpy scalars give inf; the tree walk then
-    reruns on numpy scalars.
+    `exact_constant` returns.  Python floats raise OverflowError in `**`
+    where numpy scalars give inf; the tree walk then reruns on numpy scalars.
     """
     names = tuple(names)
     em = _Emitter({nm: i for i, nm in enumerate(names)})
@@ -194,5 +193,11 @@ def compile_exprs(exprs, names):
             env = {nm: np.float64(v) for nm, v in zip(names, s)}
             return [e.evaluate(env) for e in exprs]
 
-    values.constants = [value if kind == "const" else None for kind, value in parts]
     return values
+
+
+def exact_constant(expr):
+    """The exact value of a variable-free expression, folded as the tree walk
+    folds it; None when it has a variable or its evaluation raises."""
+    kind, value = _Emitter({}).operand(expr)
+    return value if kind == "const" else None

@@ -7,9 +7,40 @@ standard 2x2 matrix representation and has signature (2, 2) as a quadratic
 form on the algebra.
 """
 
+import math
 from fractions import Fraction
 
 from .exactlinalg import rank as exact_rank
+
+
+def _over_common_denominator(values):
+    """Integer numerators of `values` over their least common denominator,
+    and that denominator, when every value is an int or a Fraction and one
+    is a Fraction.  Otherwise None: plain arithmetic on the values then gives
+    the right types (ints stay ints, floats floats) at no extra cost."""
+    den = 0
+    for v in values:
+        kind = type(v)
+        if kind is Fraction:
+            den = math.lcm(den or 1, v.denominator)
+        elif kind is not int:
+            return None
+    if not den:
+        return None
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _product(a, b, c, d, x, y, z, w):
+    return (
+        a * x - b * y + c * z + d * w,
+        a * y + b * x + c * w - d * z,
+        a * z + c * x + b * w - d * y,
+        a * w + d * x - b * z + c * y,
+    )
+
+
+def _norm2(a, b, c, d):
+    return a * a + b * b - c * c - d * d
 
 
 class SplitQuaternion:
@@ -55,15 +86,15 @@ class SplitQuaternion:
         return SplitQuaternion.coerce(other) - self
 
     def __mul__(self, other):
-        o = SplitQuaternion.coerce(other)
-        a, b, c, d = self.components()
-        x, y, z, w = o.components()
-        return SplitQuaternion(
-            a * x - b * y + c * z + d * w,
-            a * y + b * x + c * w - d * z,
-            a * z + c * x + b * w - d * y,
-            a * w + d * x - b * z + c * y,
-        )
+        # exact components: one integer product over the common denominator
+        # squared, then one Fraction per component instead of one per term
+        values = self.components() + SplitQuaternion.coerce(other).components()
+        exact = _over_common_denominator(values)
+        if exact is None:
+            return SplitQuaternion(*_product(*values))
+        nums, den = exact
+        den *= den
+        return SplitQuaternion(*[Fraction(n, den) for n in _product(*nums)])
 
     def __rmul__(self, other):
         return SplitQuaternion.coerce(other) * self
@@ -84,7 +115,11 @@ class SplitQuaternion:
         return SplitQuaternion(self.a, -self.b, -self.c, -self.d)
 
     def norm2(self):
-        return self.a * self.a + self.b * self.b - self.c * self.c - self.d * self.d
+        exact = _over_common_denominator(self.components())
+        if exact is None:
+            return _norm2(*self.components())
+        nums, den = exact
+        return Fraction(_norm2(*nums), den * den)
 
     def re(self):
         return self.a

@@ -153,6 +153,37 @@ def test_integrate_subcommand(tmp_path, capsys):
     assert len(lines) == 102
 
 
+def test_integrate_writes_golden_csv_file(tmp_path, capsys):
+    # the flat path of test_integrate's GOLDEN_CSV, written through the file
+    # path of write_csv: CRLF line ends under newline=""
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3",
+         "--t1", "1", "--step", "0.001", "-o", str(out_csv)],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith(f"wrote {out_csv}: 1001 samples, ")
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "a9d02d9eb7aace0b772365eec0d3d079a38367ed1d8c160da3ce456ff16377b4")
+
+
+def test_integrate_fixed_step_reaches_the_end_of_the_interval(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3",
+         "--t1", "10", "--step", "0.1", "-o", str(out_csv)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith(f"wrote {out_csv}: 101 samples, ")
+    assert len(out_csv.read_text().splitlines()) == 102
+
+
 def test_missing_spec_file(capsys):
     code, _, err = run_cli(["torsion", "/nonexistent/spec.json"], capsys)
     assert code == 2

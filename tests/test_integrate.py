@@ -7,7 +7,7 @@ import pytest
 
 from contactpath import integrate as integrate_mod
 from contactpath.engine import flat_spec, geometry, spec_from_dict
-from contactpath.errors import SingularArcError
+from contactpath.errors import SingularArcError, StepUnderflowError
 from contactpath.integrate import integrate
 
 INIT3 = {
@@ -207,3 +207,56 @@ def test_residuals_equal_coframe_pairings(spec):
             want.append(float(sum(c * int(b) for c, b in zip(form, slope))))
         scale = max(1.0, max(abs(w) for w in want))
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+INIT3_SEQ = [0, 0.3, 0.1, -0.2, 0.5, 0.7, 0.4, -0.3]
+
+
+def test_constant_c_is_compared_exactly_at_the_initial_point():
+    # exactly 1e-8 lies below the double nearest 1e-8, which is c_min
+    spec = spec_from_dict({"n": 3, "C": "1/100000000", "f0": "0", "f": ["0", "0"]})
+    with pytest.raises(SingularArcError) as err:
+        integrate(spec, INIT3_SEQ, 0.0, 1.0, 0.1)
+    assert str(err.value) == "C vanishes at the initial point"
+    assert err.value.t == 0.0
+    spec = spec_from_dict({"n": 3, "C": "1/10000000", "f0": "0", "f": ["0", "0"]})
+    assert len(integrate(spec, INIT3_SEQ, 0.0, 1.0, 0.1).t) == 11
+
+
+def test_adaptive_rejects_non_finite_error_estimates():
+    # u1' = u1^3 from u1 = 0.4 blows up at t = 3.125; near it the stages
+    # overflow, the error estimate is inf or nan and every step is rejected
+    spec = spec_from_dict({"n": 3, "f0": "0", "f": ["u1^3", "0"]})
+    with pytest.raises(StepUnderflowError) as err:
+        with np.errstate(all="ignore"):
+            integrate(spec, INIT3_SEQ, 0.0, 10.0, 0.1, adaptive=True)
+    assert str(err.value) == "step size underflow near t = 3.1249999976586658"
+
+
+def test_error_norm_is_numpy_max_of_the_scaled_differences():
+    # nan anywhere makes np.max nan, and so the step is rejected
+    rng = np.random.default_rng(11)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]
+    for _ in range(2000):
+        two_half = rng.normal(size=6) * 10.0 ** rng.integers(-3, 4)
+        full = two_half + rng.normal(size=6) * 1e-6
+        for arr in (two_half, full):
+            hit = rng.random(6) < 0.1
+            arr[hit] = rng.choice(specials, size=hit.sum())
+        with np.errstate(all="ignore"):
+            want = np.max(np.abs(two_half - full)
+                          / (1e-12 + 1e-9 * np.maximum(np.abs(two_half), 1.0)))
+        got = integrate_mod._error_norm(two_half.tolist(), full.tolist(), 1e-12, 1e-9)
+        assert repr(got) == repr(float(want))
+
+
+def test_fixed_step_reaches_the_end_of_the_interval():
+    # 100 steps of t += 0.1 end 2e-14 short of 10, below the step floor
+    traj = integrate(flat_spec(3), INIT3, 0.0, 10.0, 0.1)
+    assert len(traj.t) == 101
+    assert abs(traj.t[-1] - 10.0) < 1e-12
+
+
+def test_adaptive_mode_needs_a_tolerance():
+    with pytest.raises(ValueError):
+        integrate(flat_spec(3), INIT3, 0.0, 1.0, 0.1, adaptive=True, rtol=0.0, atol=0.0)

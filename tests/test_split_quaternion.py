@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactpath.squat import (
     COMPLEX_STRUCTURE,
@@ -170,3 +172,33 @@ def test_imaginary_bracket_closes():
         assert got == want
         assert re(got) == 0
         assert got == 2 * (basis[i] * basis[j]).im()
+
+
+# any mix of ints, Fractions and floats; products over a common denominator
+# must give the values and types the term-by-term formulas give
+scalars = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+quats = st.tuples(scalars, scalars, scalars, scalars)
+
+
+def plain_product(p, q):
+    a, b, c, d = p
+    x, y, z, w = q
+    return (
+        a * x - b * y + c * z + d * w,
+        a * y + b * x + c * w - d * z,
+        a * z + c * x + b * w - d * y,
+        a * w + d * x - b * z + c * y,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quats, quats)
+def test_product_and_norm_match_plain_formulas(p, q):
+    got = (SplitQuaternion(*p) * SplitQuaternion(*q)).components()
+    assert list(map(repr, got)) == list(map(repr, plain_product(p, q)))
+    a, b, c, d = p
+    assert repr(SplitQuaternion(*p).norm2()) == repr(a * a + b * b - c * c - d * d)
