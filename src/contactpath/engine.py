@@ -142,8 +142,8 @@ def spec_from_dict(data):
 
 def _reject_constant_zero_divisor(name, e):
     """A divisor or negative-power base without variables must evaluate
-    exactly to a nonzero value; otherwise the expression is undefined at
-    every point."""
+    exactly to a nonzero value, and one with variables must not be the zero
+    polynomial; otherwise the expression is undefined at every point."""
     nodes = [e]
     while nodes:
         node = nodes.pop()
@@ -153,11 +153,15 @@ def _reject_constant_zero_divisor(name, e):
             divisor = node.base
         else:
             divisor = None
-        if divisor is not None and not fm.comp_variables(divisor):
-            try:
-                ok = divisor.evaluate({}) != 0
-            except (ExprError, ArithmeticError):
-                ok = False
+        if divisor is not None:
+            if fm.comp_variables(divisor):
+                poly = divisor.as_polynomial()
+                ok = poly is None or not poly.is_zero()
+            else:
+                try:
+                    ok = divisor.evaluate({}) != 0
+                except (ExprError, ArithmeticError):
+                    ok = False
             if not ok:
                 raise SpecFormatError(f"{name} divides by '{divisor}', which is zero or undefined")
         nodes += [getattr(node, a) for a in node.__slots__ if isinstance(getattr(node, a), ex.Expr)]

@@ -52,6 +52,15 @@ class SingularArcError(ContactPathError, RuntimeError):
         self.state = state
 
 
+class NonFiniteStateError(ContactPathError, ArithmeticError):
+    """Integration produced an inf or nan state; carries the last finite one."""
+
+    def __init__(self, message, t, state):
+        super().__init__(message)
+        self.t = t
+        self.state = state
+
+
 class StepUnderflowError(ContactPathError, RuntimeError):
     """Integration's step fell below 1e-13 of the interval it covers."""
 

@@ -298,13 +298,6 @@ class GradedLieAlgebra:
             return bidegree[1]
         return bidegree[0] + bidegree[1]
 
-    def grading(self):
-        """Map degree -> list of basis elements, per the chosen parabolic."""
-        out = {}
-        for b in self.basis:
-            out.setdefault(self.z_degree(b.bidegree), []).append(b)
-        return dict(sorted(out.items()))
-
     def element_matrix(self, coeffs):
         """Dense matrix of sum_i coeffs[name] * basis[name]."""
         d = 2 * self.n

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularArcError, StepUnderflowError
+from .errors import NonFiniteStateError, SingularArcError, StepUnderflowError
 from .lowering import compile_exprs, exact_constant
 
 _CSV_BLOCK = 128
@@ -180,8 +180,10 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
     `init` is a point dict or a sequence in chart order.  Fixed-step uses the
     classical fourth-order scheme; adaptive mode controls the error by step
     doubling.  Stops with SingularArcError if C falls below c_min along the
-    arc, carrying the last good state.  When C = 1 identically the x_inf
-    coordinate advances with the parameter, matching the usual normalization.
+    arc, carrying the last good state, and with NonFiniteStateError if the
+    path blows up, carrying the last finite state.  When C = 1 identically
+    the x_inf coordinate advances with the parameter, matching the usual
+    normalization.
     """
     chart = spec.chart()
     if isinstance(init, dict):
@@ -239,9 +241,18 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
             state = [x + (x - y) / 15.0 for x, y in zip(two_half, full)]
             ts.append(t)
             history.extend(state)
-        factor = 0.9 * (15.0 / err) ** 0.2 if err > 0 else 4.0
+        if err != err:
+            factor = 0.1  # a nan estimate is a rejected step like any other
+        else:
+            factor = 0.9 * (15.0 / err) ** 0.2 if err > 0 else 4.0
         h = h_eff * min(4.0, max(0.1, factor))
     ts = np.array(ts)
     states = np.frombuffer(history).reshape(len(ts), chart.dim)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        t_bad = float(ts[bad])
+        raise NonFiniteStateError(f"the state is not finite at t = {t_bad}",
+                                  t_bad, states[bad - 1].copy() if bad else None)
     contact, secondary = _residuals(spec, ts, states)
     return Trajectory(spec, ts, states, contact, secondary)

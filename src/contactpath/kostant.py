@@ -11,6 +11,10 @@ The pipeline per parabolic (crossed nodes S of C_n):
   5. the housing subspace (g_I* ^ g_J*) (x) g_{I+J+K} is the unique candidate
      whose weight content contains the label weight.
 
+Every step reads Weyl-group and root data only: the weights of a grading
+component are the roots of C_n (and zero) with the right coefficients on
+the crossed simple roots, so no matrix realization of sp(n) is built.
+
 The label bookkeeping (homology vs cohomology, dualization) is fixed once
 and validated end-to-end against the n = 3 and n = 4 component tables.
 """
@@ -19,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import graded_sp
 from .errors import HousingAmbiguityError, InvalidParabolicError, UnsupportedDimensionError
 from .lie_core import Weight, build_root_system
 
@@ -82,83 +85,34 @@ def homogeneity(rs, w, node):
     return val
 
 
-def _weights_of_component(algebra, elements):
-    """Epsilon-basis weight of each basis element (default omega only).
+def component_weights(rs, parabolic):
+    """Map each grading component to the epsilon-basis weights of sp(n).
 
-    Weights are read off as simultaneous ad-eigenvalues of the diagonal
-    Cartan elements; a failure to be an eigenvector means a non-weight
-    basis (non-block omega) was supplied.
+    The weights are the roots of C_n, each with multiplicity one, and zero.
+    A component is keyed by the tuple of a weight's coefficients on the
+    crossed simple roots; for node k < n that coefficient is
+    eps_1 + ... + eps_k.
     """
-    n = algebra.n
-    m = algebra.m
-    d = 2 * n
-    # Cartan direction k has +1 in its slot and -1 in the dual slot
-    slots = [(0, d - 1), (1, d - 2)] + [(2 + i, 2 + m // 2 + i) for i in range(m // 2)]
-    diags = []
-    for pos, neg in slots:
-        diag = [0] * d
-        diag[pos] = 1
-        diag[neg] = -1
-        diags.append(diag)
-    weights = []
-    for b in elements:
-        wt = []
-        for diag in diags:
-            entries = b.entries
-            if not entries:
-                wt.append(0)
-                continue
-            r0, c0, v0 = entries[0]
-            lam = diag[r0] - diag[c0]
-            for r, c, v in entries:
-                if diag[r] - diag[c] != lam:
-                    raise HousingAmbiguityError(
-                        "basis element is not a weight vector; housing requires the default omega"
-                    )
-            wt.append(lam)
-        weights.append(tuple(wt))
-    return weights
-
-
-def component_weights(algebra):
-    """Map each grading component to the weights of its basis elements.
-
-    Components are keyed by bidegree for P12 and by Z-degree otherwise.
-    """
-    comp_elements = {}
-    for b in algebra.basis:
-        key = b.bidegree if algebra.parabolic == "P12" else algebra.z_degree(b.bidegree)
-        comp_elements.setdefault(key, []).append(b)
-    return {k: _weights_of_component(algebra, v) for k, v in comp_elements.items()}
+    crossed = PARABOLIC_NODES[parabolic]
+    if crossed[-1] >= rs.n:
+        raise UnsupportedDimensionError("housing needs every crossed node below n")
+    roots = [tuple(int(x) for x in r) for r in rs.positive_roots()]
+    out = {}
+    for w in [(0,) * rs.n] + roots + [tuple(-x for x in r) for r in roots]:
+        out.setdefault(tuple(sum(w[:k]) for k in crossed), []).append(w)
+    return out
 
 
 def housing(rs, labels, hom, algebra):
     """Locate the unique (I, J, K) whose subspace contains the label weight."""
-    return _housing(rs.to_epsilon(labels), hom, algebra.parabolic, component_weights(algebra))
+    return _housing(rs.to_epsilon(labels), tuple(hom), component_weights(rs, algebra.parabolic))
 
 
-def _housing(target, hom, parabolic, comp_weights):
-    if parabolic == "P12":
-        def add(i, j, k):
-            return tuple(a + b + c for a, b, c in zip(i, j, k))
-
-        def negative(key):
-            return (key[0] < 0 or key[1] < 0) and key[0] <= 0 and key[1] <= 0
-
-        kval = tuple(hom)
-    else:
-        def add(i, j, k):
-            return i + j + k
-
-        def negative(key):
-            return key < 0
-
-        kval = hom[0]
-
-    neg_keys = [k for k in comp_weights if negative(k)]
+def _housing(target, hom, comp_weights):
+    neg_keys = [k for k in comp_weights if max(k) <= 0 and min(k) < 0]
     matches = []
     for I, J in itertools.combinations_with_replacement(sorted(neg_keys, reverse=True), 2):
-        M = add(I, J, kval)
+        M = tuple(i + j + k for i, j, k in zip(I, J, hom))
         if M not in comp_weights:
             continue
         wi = comp_weights[I]
@@ -169,7 +123,8 @@ def _housing(target, hom, parabolic, comp_weights):
         # the pair weight is -(x + y); the target is it plus a weight of M
         m_weights = set(comp_weights[M])
         if any(tuple(t + a + b for t, a, b in zip(target, x, y)) in m_weights for x, y in pairs):
-            matches.append((I, J, kval))
+            # a single crossed node reports plain degrees
+            matches.append((I, J, hom) if len(hom) > 1 else (I[0], J[0], hom[0]))
     if len(matches) != 1:
         raise HousingAmbiguityError(
             f"expected exactly one housing candidate, found {matches}"
@@ -189,8 +144,7 @@ def h2(n, parabolic):
         raise UnsupportedDimensionError("n must be >= 3; the n = 2 case is excluded")
     rs = build_root_system(n)
     crossed = PARABOLIC_NODES[parabolic]
-    algebra = graded_sp.build(n, parabolic)
-    comp_weights = component_weights(algebra)
+    comp_weights = component_weights(rs, parabolic)
     lam = adjoint_highest_weight(n)
     comps = []
     for word in rs.hasse_words(set(crossed), 2):
@@ -202,7 +156,7 @@ def h2(n, parabolic):
         if any(h.denominator != 1 for h in hom):
             raise HousingAmbiguityError(f"non-integer homogeneity {hom} for labels {dualized}")
         hom = tuple(int(h) for h in hom)
-        house = _housing(rs.to_epsilon(dualized), hom, parabolic, comp_weights)
+        house = _housing(rs.to_epsilon(dualized), hom, comp_weights)
         labels = Weight(tuple(int(c) for c in dualized.coeffs))
         comps.append(H2Component(labels, hom, house))
     comps.sort(key=lambda c: (c.z_homogeneity, c.homogeneity[0]))

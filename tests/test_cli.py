@@ -1,12 +1,8 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import contactpath
 from contactpath import engine
 from contactpath.cli import INTERNAL_ERROR, main
 from contactpath.errors import DegeneratePointError
@@ -211,19 +207,16 @@ def test_unknown_subcommand_usage_error(capsys):
     assert code == 2
 
 
-def test_byte_identical_output_across_runs(tmp_path):
+def test_byte_identical_output_across_runs(tmp_path, run_python):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_TORSION)
     cmds = [
-        [sys.executable, "-m", "contactpath.cli", "homology", "--n", "4", "--cross", "1,2", "--format", "json"],
-        [sys.executable, "-m", "contactpath.cli", "torsion", str(spec), "--json", "--seed", "42"],
+        ["-m", "contactpath.cli", "homology", "--n", "4", "--cross", "1,2", "--format", "json"],
+        ["-m", "contactpath.cli", "torsion", str(spec), "--json", "--seed", "42"],
     ]
-    # the child processes import the package from where this process found it
-    src = os.path.dirname(os.path.dirname(contactpath.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for cmd in cmds:
-        a = subprocess.run(cmd, capture_output=True, env=env)
-        b = subprocess.run(cmd, capture_output=True, env=env)
+        a = run_python(*cmd)
+        b = run_python(*cmd)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -341,6 +334,20 @@ def test_integrate_reversed_interval_is_a_usage_error(tmp_path, capsys):
     assert err == "--t1 must exceed --t0\n"
 
 
+def test_integrate_blow_up_is_a_verification_failure(tmp_path, run_python):
+    # u1' = u1^3 from u1 = 0.4 blows up at t = 3.125; no CSV of inf and nan
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 3, "f0": "0", "f": ["u1^3", "0"]}')
+    out_csv = tmp_path / "out.csv"
+    done = run_python(
+        "-m", "contactpath.cli", "integrate", str(spec),
+        "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3", "--t1", "5", "--step", "0.1", "-o", str(out_csv),
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.endswith(b"error: the state is not finite at t = 3.3000000000000016\n")
+    assert not out_csv.exists()
+
+
 def test_integrate_step_underflow_is_a_verification_failure(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_FLAT)
@@ -360,6 +367,8 @@ def test_integrate_step_underflow_is_a_verification_failure(tmp_path, capsys):
     # a divisor or negative-power base without variables that is zero
     '{"n": 3, "f0": "sin(x1) + u1/(1 - 1)", "f": ["0", "0"]}',
     '{"n": 3, "f0": "u1*(2 - 2)^-1", "f": ["0", "0"]}',
+    # a divisor with variables that is the zero polynomial
+    '{"n": 3, "f0": "u1/(x1 - x1)", "f": ["0", "0"]}',
 ])
 def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
@@ -374,7 +383,8 @@ def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
 # n = 3..7: `flat-check`, `brackets` in both formats, and `homology` for
 # every crossed set in both formats; recorded while brackets still expanded
 # a dense commutator against every basis element, so the sparse expansion
-# must reproduce every printed byte.
+# must reproduce every printed byte.  `homology` at n = 8 was recorded while
+# its housing weights were still read off the sp(n) basis matrices.
 EXACT_HALF_ARGV = {
     "flat-check": lambda n: [["flat-check", "--n", str(n)]],
     "brackets": lambda n: [
@@ -402,6 +412,7 @@ GOLDEN_EXACT_HALF = {
     ("homology", 5): "f95386f314f30a8b72ff67b74d00f7688e46869b11a4f284cc36f20be92281c0",
     ("homology", 6): "47f78f61e0ad1dad92cbd8224701143e798ac4315d7f83ed95967be84efc2660",
     ("homology", 7): "3819be85a12b6f845debacca67f27130d3c78e305fb208ab4f0b1ac0ff22e7d2",
+    ("homology", 8): "6f81ce654bce70d88e5f60e321b330ccec120a588bfbd29db9a6699e7899747b",
 }
 
 

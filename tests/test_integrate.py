@@ -7,7 +7,7 @@ import pytest
 
 from contactpath import integrate as integrate_mod
 from contactpath.engine import flat_spec, geometry, spec_from_dict
-from contactpath.errors import SingularArcError, StepUnderflowError
+from contactpath.errors import NonFiniteStateError, SingularArcError, StepUnderflowError
 from contactpath.integrate import integrate
 
 INIT3 = {
@@ -260,3 +260,40 @@ def test_fixed_step_reaches_the_end_of_the_interval():
 def test_adaptive_mode_needs_a_tolerance():
     with pytest.raises(ValueError):
         integrate(flat_spec(3), INIT3, 0.0, 1.0, 0.1, adaptive=True, rtol=0.0, atol=0.0)
+
+
+# u1' = u1^3 blows up: from u1 = 0.4 at t = 3.125
+BLOW_UP = {"n": 3, "f0": "0", "f": ["u1^3", "0"]}
+
+
+def test_adaptive_nan_error_estimate_shrinks_the_step(run_python):
+    # from u1 = 1e100 every stage overflows and the error estimate is nan; a
+    # nan that grew the step instead would retry forever, so the run sits in
+    # a child process under a timeout
+    init = INIT3_SEQ[:6] + [1e100] + INIT3_SEQ[7:]
+    done = run_python("-c", f"""
+import numpy as np
+from contactpath.engine import spec_from_dict
+from contactpath.errors import StepUnderflowError
+from contactpath.integrate import integrate
+try:
+    with np.errstate(all="ignore"):
+        integrate(spec_from_dict({BLOW_UP!r}), {init!r}, 0.0, 1.0, 0.1, adaptive=True)
+except StepUnderflowError as e:
+    print(e)
+""")
+    assert (done.returncode, done.stdout) == (0, b"step size underflow near t = 0.0\n"), done.stderr
+
+
+def test_fixed_step_blow_up_is_an_error():
+    spec = spec_from_dict(BLOW_UP)
+    with pytest.raises(NonFiniteStateError) as err:
+        with np.errstate(all="ignore"):
+            integrate(spec, INIT3_SEQ, 0.0, 5.0, 0.1)
+    assert str(err.value) == "the state is not finite at t = 3.3000000000000016"
+    assert err.value.t == 3.3000000000000016
+    # the last finite sample, one step earlier: x_inf advances with t as C = 1
+    state = err.value.state
+    assert len(state) == 8 and np.isfinite(state).all()
+    assert state[0] == pytest.approx(3.2)
+    assert abs(state[6]) > 1e8

@@ -1,6 +1,6 @@
 import pytest
 
-from contactpath import kostant
+from contactpath import graded_sp, kostant
 from contactpath.errors import HousingAmbiguityError, UnsupportedDimensionError
 from contactpath.graded_sp import build
 from contactpath.lie_core import Weight, build_root_system
@@ -100,6 +100,56 @@ def test_housing_ambiguity_error():
     # a weight that no candidate subspace contains
     with pytest.raises(HousingAmbiguityError):
         kostant.housing(rs, Weight((9, 9, 9, 9)), (1, 2), algebra)
+
+
+def test_housing_refuses_a_crossed_node_at_n():
+    # at n = 2 node 2 is the long simple root: its coefficient is half the
+    # sum of all eps, not the eps_1 + eps_2 that keys the other nodes
+    rs = build_root_system(2)
+    with pytest.raises(UnsupportedDimensionError):
+        kostant.housing(rs, Weight((1, 1)), (1,), build(2, "P2"))
+
+
+def matrix_component_weights(algebra):
+    """Reference for `component_weights`: each grading component's weights
+    read off the basis matrices as simultaneous ad-eigenvalues of the
+    diagonal Cartan elements (default omega only)."""
+    d = 2 * algebra.n
+    half = algebra.m // 2
+    # Cartan direction k has +1 in its slot and -1 in the dual slot
+    slots = [(0, d - 1), (1, d - 2)] + [(2 + i, 2 + half + i) for i in range(half)]
+    diags = []
+    for pos, neg in slots:
+        diag = [0] * d
+        diag[pos], diag[neg] = 1, -1
+        diags.append(diag)
+    out = {}
+    for b in algebra.basis:
+        # every entry of a weight vector gives the same eigenvalues
+        (weight,) = {tuple(diag[r] - diag[c] for diag in diags) for r, c, _ in b.entries}
+        key = b.bidegree if algebra.parabolic == "P12" else (algebra.z_degree(b.bidegree),)
+        out.setdefault(key, set()).add(weight)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("parabolic", ["P1", "P2", "P12"])
+def test_component_weights_match_the_matrix_realization(n, parabolic):
+    got = kostant.component_weights(build_root_system(n), parabolic)
+    want = matrix_component_weights(build(n, parabolic))
+    assert {k: set(v) for k, v in got.items()} == want
+    # one weight per root and the zero weight once
+    assert sum(len(v) for v in got.values()) == 2 * n * n + 1
+
+
+def test_h2_builds_no_matrix_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kostant.h2 built a GradedLieAlgebra")
+
+    monkeypatch.setattr(graded_sp, "GradedLieAlgebra", refuse)
+    for parabolic in ("P1", "P2", "P12"):
+        got = [c.housing for c in kostant.h2(4, parabolic)]
+        assert got == [housing for _, _, housing in expected_table(4, parabolic)]
 
 
 @pytest.mark.parametrize("parabolic,crossed", [("P1", (1,)), ("P2", (2,)), ("P12", (1, 2))])
