@@ -253,10 +253,22 @@ class Geometry:
         return self._cache[key]
 
     def double_bracket(self, i):
-        """[[A_i, X], X] for the normalized field."""
+        """[[A_i, X], X] for the normalized field, every component."""
         key = ("aixx", i)
         if key not in self._cache:
             self._cache[key] = fm.lie_bracket(self.ai_xhat(i), self.x_hat())
+        return self._cache[key]
+
+    def torsion_bracket(self, i):
+        """[[A_i, X], X] restricted to the coordinates where theta(-1,-2)
+        and theta(-2,-2) have components (t, x0, the x_q and z): their
+        pairings with it equal their pairings with `double_bracket(i)`, and
+        the u components, most of its polynomial work, are never built."""
+        key = ("aixx-theta", i)
+        if key not in self._cache:
+            coords = (self.coframe["theta(-1,-2)"].components.keys()
+                      | self.coframe["theta(-2,-2)"].components.keys())
+            self._cache[key] = fm.lie_bracket(self.ai_xhat(i), self.x_hat(), coords)
         return self._cache[key]
 
     def secondary_bracket(self, i):
@@ -379,19 +391,20 @@ class TorsionReport:
     UNDETERMINED = "undetermined"
 
 
-def seeded_points(spec, count, seed=42, avoid_c_zero=True):
-    """Deterministic rational sample points in the chart of a spec."""
+def iter_seeded_points(spec, count, seed=42, avoid_c_zero=True):
+    """Deterministic rational sample points in the chart of a spec, drawn
+    one at a time from `Random(seed)`: a caller that stops early draws only
+    the points it read, and the k-th point is the same however many follow."""
     rng = Random(seed)
-    chart = spec.chart()
-    points = []
-    attempts = 0
-    while len(points) < count:
+    names = spec.chart().names
+    found = attempts = 0
+    while found < count:
         attempts += 1
         if attempts > 200 * count + 200:
             raise DegeneratePointError("could not sample points with C != 0")
         pt = {
             nm: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-            for nm in chart.names
+            for nm in names
         }
         if avoid_c_zero:
             try:
@@ -400,8 +413,14 @@ def seeded_points(spec, count, seed=42, avoid_c_zero=True):
                 continue
             if cv == 0 or (isinstance(cv, float) and abs(cv) < 1e-9):
                 continue
-        points.append(pt)
-    return points
+        found += 1
+        yield pt
+
+
+def seeded_points(spec, count, seed=42, avoid_c_zero=True):
+    """Deterministic rational sample points in the chart of a spec: the
+    first `count` points of `iter_seeded_points`, as a list."""
+    return list(iter_seeded_points(spec, count, seed, avoid_c_zero))
 
 
 def contact_torsion(spec, seed=42):
@@ -409,8 +428,10 @@ def contact_torsion(spec, seed=42):
 
     tau_i = 3 f_i + A_i(f0) for the C-normalized data; the same components
     are recomputed as the theta(-1,-2) pairing of [[A_i, X], X] and the two
-    routes must agree identically.  The report is built once per geometry
-    and seed.
+    routes must agree identically, while the theta(-2,-2) pairing must
+    vanish.  The bracket route builds only the components those two forms
+    read (`Geometry.torsion_bracket`).  The report is built once per
+    geometry and seed.
     """
     geo = geometry(spec)
     key = ("torsion", seed)
@@ -424,7 +445,7 @@ def contact_torsion(spec, seed=42):
     th = geo.coframe["theta(-1,-2)"]
     th_contact = geo.coframe["theta(-2,-2)"]
     for i in range(1, geo.m + 1):
-        b = geo.double_bracket(i)
+        b = geo.torsion_bracket(i)
         bracket_tau.append(th.pair(b))
         contact_part = th_contact.pair(b)
         if geo.polynomial and not contact_part.is_zero():
@@ -445,14 +466,14 @@ def _decide_zero(spec, tau, geo, seed):
     if geo.polynomial:
         if all(t.is_zero() for t in tau):
             return TorsionReport.PROVED_ZERO, None
-        for pt in seeded_points(spec, 40, seed=seed):
-            vals = [t.evaluate(pt) for t in tau]
-            if any(v != 0 for v in vals):
+        # C is a nonzero constant here, so no point needs its check
+        for pt in iter_seeded_points(spec, 40, seed=seed, avoid_c_zero=False):
+            if any(t.evaluate(pt) != 0 for t in tau):
                 return TorsionReport.PROVED_NONZERO, pt
         return TorsionReport.PROVED_NONZERO, None
     worst = 0.0
     witness = None
-    for pt in seeded_points(spec, 20, seed=seed):
+    for pt in iter_seeded_points(spec, 20, seed=seed):
         fpt = {k: float(v) for k, v in pt.items()}
         try:
             vals = [abs(float(t.evaluate(fpt))) for t in tau]
@@ -890,7 +911,7 @@ def torsion_obstruction_values(spec, point):
     th = geo.coframe["theta(-1,-2)"]
     out = []
     for i in range(1, geo.m + 1):
-        val = th.pair(geo.double_bracket(i))
+        val = th.pair(geo.torsion_bracket(i))
         out.append(float(val.evaluate(fpoint)))
     return out
 

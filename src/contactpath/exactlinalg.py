@@ -69,8 +69,12 @@ def mat_eq(a, b):
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rref, pivot column list)."""
-    m = [row[:] for row in a]
+    """Reduced row echelon form of a matrix of Fractions (ints and other
+    rationals are coerced); returns (rref, pivot column list).
+
+    Scaling the pivot row and subtracting multiples of it touch only the
+    pivot row's nonzero entries, the only columns they change."""
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -80,12 +84,17 @@ def rref(a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        inv = Fraction(1) / prow[c]
+        support = [j for j, y in enumerate(prow) if y]
+        for j in support:
+            prow[j] *= inv
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:

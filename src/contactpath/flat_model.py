@@ -124,12 +124,21 @@ class VectorField(_Components):
     __slots__ = ()
 
     def apply(self, func):
-        """Directional derivative of a ring element."""
-        total = None
+        """Directional derivative of a ring element: the sum of comp * d func /
+        d coord, with func and the components in one ring.  A coordinate
+        whose derivative is an exact zero adds nothing to the sum and is
+        skipped; when every one is, the zero the full sum gives is returned."""
+        total = skipped = None
         for coord, comp in self.components.items():
-            term = comp * func.diff(coord)
+            d = func.diff(coord)
+            if _vanishing_term(comp, d):
+                skipped = skipped or (comp, d)
+                continue
+            term = comp * d
             total = term if total is None else total + term
-        return PZERO if total is None else total
+        if total is None:
+            return PZERO if skipped is None else skipped[0] * skipped[1]
+        return total
 
     def evaluate(self, chart, point):
         return [
@@ -149,21 +158,38 @@ def _is_zero(x):
     return x == 0
 
 
+def _vanishing_term(comp, d):
+    """True when comp * d is an exact zero of their ring, which leaves every
+    sum unchanged: d is zero and neither is a float constant, whose 0.0
+    would turn a sum of rational constants into a float."""
+    return _is_zero(d) and not (_float_constant(d) or _float_constant(comp))
+
+
+def _float_constant(x):
+    return isinstance(x, Num) and isinstance(x.value, float)
+
+
 def _num(x, point):
     if isinstance(x, (int, Fraction, float)):
         return x
     return x.evaluate(point)
 
 
-def lie_bracket(x, y):
-    """Coordinate Lie bracket [X, Y]; exact on polynomial components."""
+def lie_bracket(x, y, coords=None):
+    """Coordinate Lie bracket [X, Y]; exact on polynomial components.
+
+    With `coords`, a set of coordinate names, only those components are
+    built, each by the same arithmetic as the full bracket, so the result is
+    the full bracket restricted to `coords`: what a pairing with a form that
+    reads only those coordinates needs."""
     out = {}
     for coord, comp in y.components.items():
-        term = x.apply(comp)
-        out[coord] = term if coord not in out else out[coord] + term
+        if coords is None or coord in coords:
+            out[coord] = x.apply(comp)
     for coord, comp in x.components.items():
-        term = y.apply(comp)
-        out[coord] = -term if coord not in out else out[coord] - term
+        if coords is None or coord in coords:
+            term = y.apply(comp)
+            out[coord] = -term if coord not in out else out[coord] - term
     return VectorField(out)
 
 

@@ -167,7 +167,9 @@ def compile_exprs(exprs, names):
 
     A root with no variable gives `float` of its exact value, which
     `exact_constant` returns.  Python floats raise OverflowError in `**`
-    where numpy scalars give inf; the tree walk then reruns on numpy scalars.
+    where numpy scalars give inf; the tree walk then reruns on numpy scalars,
+    with numpy's floating-point warnings off, and returns `float` of each
+    value (the same double).
     """
     names = tuple(names)
     em = _Emitter({nm: i for i, nm in enumerate(names)})
@@ -191,7 +193,8 @@ def compile_exprs(exprs, names):
             return fast(s)
         except OverflowError:
             env = {nm: np.float64(v) for nm, v in zip(names, s)}
-            return [e.evaluate(env) for e in exprs]
+            with np.errstate(all="ignore"):
+                return [float(e.evaluate(env)) for e in exprs]
 
     return values
 

@@ -421,6 +421,50 @@ def test_pointwise_calls_build_the_torsion_once(monkeypatch):
     assert len(decided) == 1
 
 
+@pytest.mark.parametrize("data", [
+    {"n": 4, "f0": "u1*u2*u3 - x4^2", "f": ["u2^2", "x1*u4", "3*u1^2 + z", "0"]},
+    {"n": 3, "f0": "u1*u2 + sin(x1)", "f": ["u2^2 - x2 + exp(u1/4)", "u1*x1 - z"]},
+], ids=["polynomial", "transcendental"])
+def test_contact_torsion_builds_only_the_paired_components(data):
+    spec = spec_from_dict(data)
+    geo = geometry(spec)
+    report = contact_torsion(spec)
+    assert not [key for key in geo._cache if isinstance(key, tuple) and key[0] == "aixx"]
+    # the u components of [[A_i, X], X] are never built ...
+    read = (geo.coframe["theta(-1,-2)"].components.keys()
+            | geo.coframe["theta(-2,-2)"].components.keys())
+    assert not any(c.startswith("u") for c in read)
+    for i in range(1, geo.m + 1):
+        assert set(geo.torsion_bracket(i).components) <= read
+    # ... and the pairings with the whole double bracket are the same
+    th = geo.coframe["theta(-1,-2)"]
+    for i, tau in enumerate(report.bracket_tau, start=1):
+        assert str(geo.as_expr(th.pair(geo.double_bracket(i)))) == str(geo.as_expr(tau))
+
+
+class _CountingRandom(engine.Random):
+    draws = 0
+
+    def randint(self, a, b):
+        type(self).draws += 1
+        return super().randint(a, b)
+
+
+def test_decide_zero_draws_only_the_points_it_needs(monkeypatch):
+    # tau_1 = 2 u1 x1 + 4 u1 vanishes at the first sampled point (x1 = -2)
+    spec = spec_from_dict({"n": 3, "f0": "(x1 + 2)*u1^2", "f": ["0", "0"]})
+    geo = geometry(spec)
+    report = contact_torsion(spec)
+    points = seeded_points(spec, 40)
+    needed = points.index(report.witness) + 1
+    assert needed > 1
+    monkeypatch.setattr(engine, "Random", _CountingRandom)
+    _CountingRandom.draws = 0
+    decided = engine._decide_zero(spec, list(report.tau_ring), geo, 42)
+    assert decided == (TorsionReport.PROVED_NONZERO, report.witness)
+    assert _CountingRandom.draws == needed * geo.chart.dim
+
+
 # --- adapted frame -------------------------------------------------------------------------
 
 def test_flat_adapted_frame_residual_zero():

@@ -1,12 +1,15 @@
 """Property tests for the exact ring and the component algebra built on it:
 `Polynomial` arithmetic, `diff` and `evaluate`, the conversion to `Expr`,
-vector fields (`apply`, `lie_bracket`, `scale`) and `contract`."""
+vector fields (`apply`, `lie_bracket`, `scale`) and `contract`, and exact
+row reduction.  `apply` and the restricted `lie_bracket` are also checked on
+expression-tree components, float constants included."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactpath import exactlinalg as ela
 from contactpath import expr as ex
 from contactpath import flat_model as fm
 from contactpath.poly import Polynomial
@@ -110,3 +113,106 @@ def test_contract_is_the_double_sum(data):
     matrix, vec = data
     naive = [sum((w * v for w, v in zip(row, vec)), Polynomial()) for row in matrix]
     assert fm.contract(matrix, vec) == naive
+
+
+# expression-tree components: polynomials, a transcendental call, and
+# rational and float constants, whose zero derivatives fold to Fraction 0
+# or to float 0.0
+expr_atoms = st.one_of(
+    polys.map(ex.poly_to_expr),
+    polys.map(lambda p: ex.simplify(ex.Call("sin", ex.poly_to_expr(p)))),
+    st.sampled_from([ex.Num(Fraction(2)), ex.Num(Fraction(-1, 3)), ex.Num(0.5), ex.Num(2.5)]),
+)
+exprs = st.one_of(expr_atoms, st.builds(lambda a, b, c: a * b + c, expr_atoms, expr_atoms, expr_atoms))
+expr_fields = st.dictionaries(variables, exprs, max_size=3).map(fm.VectorField)
+coord_sets = st.frozensets(variables)
+
+
+def shape(e):
+    """Structural identity of a ring element, literal types included."""
+    if isinstance(e, Polynomial):
+        return ("poly", tuple(e.terms.items()))
+    if isinstance(e, ex.Num):
+        return ("num", type(e.value).__name__, repr(e.value))
+    if isinstance(e, ex.Var):
+        return ("var", e.name)
+    if isinstance(e, ex.Bin):
+        return (e.op, shape(e.left), shape(e.right))
+    if isinstance(e, ex.Neg):
+        return ("neg", shape(e.arg))
+    if isinstance(e, ex.Pow):
+        return ("pow", shape(e.base), e.exponent)
+    return (e.func, shape(e.arg))
+
+
+def field_shape(x):
+    return [(k, shape(v)) for k, v in x.components.items()]
+
+
+def plain_apply(x, func):
+    """X(func) as the sum over every component, zero derivatives included."""
+    total = None
+    for coord, comp in x.components.items():
+        term = comp * func.diff(coord)
+        total = term if total is None else total + term
+    return fm.PZERO if total is None else total
+
+
+@exact
+@given(fields, polys)
+def test_apply_is_the_plain_sum(x, f):
+    assert shape(x.apply(f)) == shape(plain_apply(x, f))
+
+
+@exact
+@given(expr_fields, exprs)
+def test_apply_is_the_plain_sum_on_trees(x, f):
+    assert shape(x.apply(f)) == shape(plain_apply(x, f))
+
+
+def restricted(x, coords):
+    return [(k, v) for k, v in field_shape(x) if k in coords]
+
+
+@exact
+@given(fields, fields, coord_sets)
+def test_restricted_bracket_is_the_restriction(x, y, coords):
+    assert field_shape(fm.lie_bracket(x, y, coords)) == restricted(fm.lie_bracket(x, y), coords)
+
+
+@exact
+@given(expr_fields, expr_fields, coord_sets)
+def test_restricted_bracket_is_the_restriction_on_trees(x, y, coords):
+    assert field_shape(fm.lie_bracket(x, y, coords)) == restricted(fm.lie_bracket(x, y), coords)
+
+
+def dense_rref(a):
+    """Gauss-Jordan elimination over every entry of every row."""
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+sparse_entries = st.one_of(st.just(0), st.just(Fraction(0)), coefficients)
+
+
+@exact
+@given(st.integers(1, 6).flatmap(
+    lambda cols: st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols), max_size=5)))
+def test_rref_is_dense_gauss_jordan(a):
+    red, pivots = ela.rref(a)
+    assert (red, pivots) == dense_rref(a)
+    assert all(type(x) is Fraction for row in red for x in row)
