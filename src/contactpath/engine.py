@@ -13,13 +13,23 @@ expression trees otherwise.  Everything it stores (the raw and normalized
 data, the frame, the coframe, its zero) lives in that ring, so the methods
 below compute without asking again.  The trees are built simplified, and
 fields and forms drop components that fold to zero, so the brackets of a
-non-polynomial spec stay small.  Pointwise reductions are exact
-on rational data and QR/SVD-based with tolerance 1e-9 on floats.  At float
-points a polynomial geometry evaluates its fields through monomial tables,
-built once per geometry on first use (`Geometry.eval_fields`); other
-geometries walk their trees.  A spec's Geometry is built on first use and
-kept on the spec itself, together with its contact torsion reports, so it
-lives exactly as long as the spec.
+non-polynomial spec stay small.
+
+The float-point checks (`filtration_ranks`, `semiregular_ranks`,
+`vertical_escape`, `skew_complement_W`, `partial_uw_vectors`,
+`secondary_torsion`, `characteristic_system_test`, `adapted_frame_check`,
+`torsion_obstruction_values`) share one contract.  Each refuses, with
+`DegeneratePointError`, a point where C is undefined or |C| < RANK_TOL.
+Their ranks and vanishing tests read that one absolute tolerance,
+RANK_TOL = 1e-9, scaled by the data where they say so; only
+`secondary_torsion`'s guard against leaking out of E-perp uses its own
+relative 1e-6.  No call takes a tolerance.  `torsion_point_reduction` is
+exact at rational points of a polynomial spec.  At float points a
+polynomial geometry evaluates its fields through monomial tables, built once
+per geometry on first use (`Geometry.eval_fields`); other geometries walk
+their trees.  A spec's Geometry is built on first use and kept on the spec
+itself, together with its contact torsion reports, so it lives exactly as
+long as the spec.
 """
 
 import json
@@ -41,7 +51,7 @@ from .errors import (
 from .exactlinalg import inverse as exact_inverse
 from .exactlinalg import rank as exact_rank
 from .exactlinalg import solve as exact_solve
-from .graded_sp import standard_omega
+from .graded_sp import GradedLieAlgebra, standard_omega
 from .lowering import MonomialTable
 from .poly import Polynomial
 
@@ -154,7 +164,7 @@ def _reject_constant_zero_divisor(name, e):
         else:
             divisor = None
         if divisor is not None:
-            if fm.comp_variables(divisor):
+            if divisor.variables():
                 poly = divisor.as_polynomial()
                 ok = poly is None or not poly.is_zero()
             else:
@@ -164,7 +174,7 @@ def _reject_constant_zero_divisor(name, e):
                     ok = False
             if not ok:
                 raise SpecFormatError(f"{name} divides by '{divisor}', which is zero or undefined")
-        nodes += [getattr(node, a) for a in node.__slots__ if isinstance(getattr(node, a), ex.Expr)]
+        nodes += node.children()
 
 
 def load_spec(path):
@@ -287,10 +297,7 @@ class Geometry:
             T02 = self.frame["T(0,-2)"]
             Tm10 = self.frame["T(-1,0)"]
             E = [self.frame[f"E{i}"] for i in range(1, m + 1)]
-            Tm1m2 = self.frame["T(-1,-2)"]
-            X = self.x_hat()
-            AX = [self.ai_xhat(i) for i in range(1, m + 1)]
-            e_gens = A + [T02, X]
+            e_gens = A + [T02, self.x_hat()]
             bracket_fields = []
             for i, gi in enumerate(e_gens):
                 for gj in e_gens[i + 1:]:
@@ -300,10 +307,10 @@ class Geometry:
             self._cache["filtration"] = {
                 "u": A,
                 "v": A + [T02],
-                "e": A + [T02, X],
-                "partial_uw": A + [X] + AX,
-                "e_perp": A + [T02, Tm10] + E,
-                "h": A + [T02, Tm10, Tm1m2] + E,
+                "e": e_gens,
+                "partial_uw": _partial_uw_fields(self),
+                "e_perp": _eperp_fields(self),
+                "h": A + [T02, Tm10, self.frame["T(-1,-2)"]] + E,
                 "partial_e": partial_e,
                 "partial2_e": partial_e + second,
             }
@@ -361,9 +368,6 @@ class Geometry:
         if table is None:
             table = self._cache[("table", key)] = MonomialTable(self.chart.names, fields)
         return table(point)
-
-    def c_value(self, point):
-        return float(self.spec.C.evaluate(point))
 
 
 def geometry(spec):
@@ -583,39 +587,45 @@ class RankTable:
         )
 
 
-def _nrank(mat, tol=RANK_TOL):
+def _float_point(spec, point):
+    """(geometry, point as floats) for a float-point check, after the C rule:
+    a point where C is undefined or |C| < RANK_TOL is refused."""
+    try:
+        c = abs(float(spec.C.evaluate(point)))
+    except ExprError:
+        c = 0.0
+    if c < RANK_TOL:
+        raise DegeneratePointError("C vanishes or is undefined at the requested point")
+    return geometry(spec), {k: float(v) for k, v in point.items()}
+
+
+def _nrank(mat):
     """Numeric rank of the span of a (dim, k) matrix's columns."""
     if not mat.shape[1]:
         return 0
-    return int(np.linalg.matrix_rank(mat, tol=tol))
+    return int(np.linalg.matrix_rank(mat, tol=RANK_TOL))
 
 
-def filtration_ranks(spec, point, tol=RANK_TOL):
+def filtration_ranks(spec, point):
     """Numeric ranks at a point of the canonical filtration subbundles."""
-    geo = geometry(spec)
-    if abs(geo.c_value(point)) < tol:
-        raise DegeneratePointError("C vanishes at the requested point")
-    fpoint = {k: float(v) for k, v in point.items()}
+    geo, fpoint = _float_point(spec, point)
     fields = geo.filtration_fields()
     vals = geo.eval_fields("filtration", [f for flist in fields.values() for f in flist], fpoint)
     ranks = {}
     start = 0
     for key, flist in fields.items():
-        ranks[key] = _nrank(vals[:, start:start + len(flist)], tol)
+        ranks[key] = _nrank(vals[:, start:start + len(flist)])
         start += len(flist)
     return RankTable(**ranks)
 
 
-def semiregular_ranks(spec, point, tol=RANK_TOL):
+def semiregular_ranks(spec, point):
     """Ranks showing the splitting line and verticals generate the filtration.
 
     Returns the ranks of the iterated bracket spans of T^{-1} = U + W:
     expected (4n-6, 4n-5, 4n-4), i.e. the next three filtration levels.
     """
-    geo = geometry(spec)
-    if abs(geo.c_value(point)) < tol:
-        raise DegeneratePointError("C vanishes at the requested point")
-    fpoint = {k: float(v) for k, v in point.items()}
+    geo, fpoint = _float_point(spec, point)
     key = "semiregular"
     if key not in geo._cache:
         gens = [geo.a_field(i) for i in range(1, geo.m + 1)] + [geo.x_hat()]
@@ -635,15 +645,14 @@ def semiregular_ranks(spec, point, tol=RANK_TOL):
     spans = geo._cache[key]
     # each level extends the one before it
     vals = geo.eval_fields(key, spans[-1], fpoint)
-    return tuple(_nrank(vals[:, :len(span)], tol) for span in spans)
+    return tuple(_nrank(vals[:, :len(span)]) for span in spans)
 
 
-def vertical_escape(spec, point, tol=RANK_TOL):
+def vertical_escape(spec, point):
     """True when T(0,-2) is not contained in the span of A_i, X, [A_i, X]."""
-    geo = geometry(spec)
-    fpoint = {k: float(v) for k, v in point.items()}
+    geo, fpoint = _float_point(spec, point)
     vals = geo.eval_fields("escape", _partial_uw_fields(geo) + [geo.frame["T(0,-2)"]], fpoint)
-    return _nrank(vals, tol) == _nrank(vals[:, :-1], tol) + 1
+    return _nrank(vals) == _nrank(vals[:, :-1]) + 1
 
 
 # --- symplectic structure on E-perp ------------------------------------------------
@@ -664,21 +673,18 @@ def _eperp_fields(geo):
     )
 
 
-def skew_complement_W(spec, point, r, s, tol=RANK_TOL):
+def skew_complement_W(spec, point, r, s):
     """Skew complement of the generating line in E-perp for d(beta), beta the
     filtered frame r theta(-2,-2) + s theta(-1,-2)."""
     if s == 0:
         raise SpecFormatError("filtered frame requires s != 0")
-    geo = geometry(spec)
-    if abs(geo.c_value(point)) < tol:
-        raise DegeneratePointError("C vanishes at the requested point")
-    fpoint = {k: float(v) for k, v in point.items()}
+    geo, fpoint = _float_point(spec, point)
     dbeta_mat = geo.dbeta_matrix(r, s)
     fields = _eperp_fields(geo)
     field_mat = geo.eval_fields("e_perp", fields, fpoint)
     gram = field_mat.T @ dbeta_mat @ field_mat
     size = len(fields)
-    nondeg = np.linalg.matrix_rank(gram, tol=tol) == size
+    nondeg = np.linalg.matrix_rank(gram, tol=RANK_TOL) == size
     # X coordinates in the E-perp basis are read off the normalized data
     xi = np.zeros(size)
     for p in range(1, geo.m + 1):
@@ -686,35 +692,32 @@ def skew_complement_W(spec, point, r, s, tol=RANK_TOL):
     xi[geo.m] = float(geo.f0_hat.evaluate(fpoint))
     xi[geo.m + 1] = 1.0
     functional = xi @ gram
-    kernel = _nullspace_numeric(functional.reshape(1, -1), tol)
+    kernel = _nullspace_numeric(functional.reshape(1, -1))
     basis_vectors = [tuple(field_mat @ coeffs) for coeffs in kernel.T]
     # V = span{A_i, T(0,-2)} spans the first m+1 slots of the E-perp basis
     vblock = gram[: geo.m + 1, : geo.m + 1]
-    lagrangian = bool(np.max(np.abs(vblock)) < 1e-9 * (1 + np.max(np.abs(gram))))
+    lagrangian = bool(np.max(np.abs(vblock)) < RANK_TOL * (1 + np.max(np.abs(gram))))
     # skew complement of U: vectors pairing to zero with every A_i
     u_rows = gram[: geo.m, :]
-    u_comp = _nullspace_numeric(u_rows, tol)
-    e_coords = np.zeros((size, geo.m + 2))
-    for p in range(geo.m):
-        e_coords[p, p] = 1.0
-    e_coords[geo.m, geo.m] = 1.0
+    u_comp = _nullspace_numeric(u_rows)
+    e_coords = np.eye(size, geo.m + 2)
     e_coords[:, geo.m + 1] = xi
-    same = _same_span(u_comp, e_coords, tol)
+    same = _same_span(u_comp, e_coords)
     return SkewComplementReport(bool(nondeg), tuple(basis_vectors), lagrangian, bool(same))
 
 
-def _nullspace_numeric(mat, tol):
+def _nullspace_numeric(mat):
     _, sing, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(sing > tol * max(mat.shape) * (sing[0] if len(sing) else 1.0)))
+    rank = int(np.sum(sing > RANK_TOL * max(mat.shape) * (sing[0] if len(sing) else 1.0)))
     return vt[rank:].T
 
 
-def _same_span(a, b, tol):
+def _same_span(a, b):
     if a.shape[1] != b.shape[1]:
         return False
-    ra = np.linalg.matrix_rank(a, tol=tol)
-    rb = np.linalg.matrix_rank(b, tol=tol)
-    rc = np.linalg.matrix_rank(np.hstack([a, b]), tol=tol)
+    ra = np.linalg.matrix_rank(a, tol=RANK_TOL)
+    rb = np.linalg.matrix_rank(b, tol=RANK_TOL)
+    rc = np.linalg.matrix_rank(np.hstack([a, b]), tol=RANK_TOL)
     return ra == rb == rc
 
 
@@ -729,20 +732,19 @@ def _partial_uw_fields(geo):
 
 def partial_uw_vectors(spec, point):
     """Chart vectors spanning the bracket closure of U and the generating line."""
-    geo = geometry(spec)
-    fpoint = {k: float(v) for k, v in point.items()}
+    geo, fpoint = _float_point(spec, point)
     return list(geo.eval_fields("partial_uw", _partial_uw_fields(geo), fpoint).T)
 
 
-def spans_equal(vectors_a, vectors_b, tol=RANK_TOL):
+def spans_equal(vectors_a, vectors_b):
     a = np.column_stack([np.asarray(v, dtype=float) for v in vectors_a])
     b = np.column_stack([np.asarray(v, dtype=float) for v in vectors_b])
-    return _same_span(a, b, tol)
+    return _same_span(a, b)
 
 
 # --- secondary torsion -----------------------------------------------------------
 
-def secondary_torsion(spec, point, tol=RANK_TOL, seed=42):
+def secondary_torsion(spec, point):
     """Secondary contact torsion components at a point.
 
     Defined only for specs whose contact torsion vanishes identically; the
@@ -750,20 +752,16 @@ def secondary_torsion(spec, point, tol=RANK_TOL, seed=42):
     [X, [X, A_i]] modulo span{A_j, X, [A_j, X]}.  Only its vanishing is
     invariant; the numeric vector is chart-normalized.
     """
-    report = contact_torsion(spec, seed=seed)
-    if report.is_zero != TorsionReport.PROVED_ZERO:
+    geo, fpoint = _float_point(spec, point)
+    if contact_torsion(spec).is_zero != TorsionReport.PROVED_ZERO:
         raise TorsionPreconditionError(
             "secondary torsion is defined only when the contact torsion vanishes"
         )
-    geo = geometry(spec)
-    fpoint = {k: float(v) for k, v in point.items()}
-    if abs(geo.c_value(fpoint)) < tol:
-        raise DegeneratePointError("C vanishes at the requested point")
     cols = _partial_uw_fields(geo) + [geo.frame[k] for k in ("T(0,-2)", "T(-1,-2)", "T(-2,-2)")]
     brackets = [geo.secondary_bracket(i) for i in range(1, geo.m + 1)]
     vals = geo.eval_fields("secondary", cols + brackets, fpoint)
     mat = vals[:, :len(cols)]
-    if np.linalg.matrix_rank(mat, tol=tol) != 4 * geo.n - 4:
+    if np.linalg.matrix_rank(mat, tol=RANK_TOL) != 4 * geo.n - 4:
         raise DegeneratePointError("tangent basis lost rank at the point")
     out = []
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -779,27 +777,24 @@ def secondary_torsion(spec, point, tol=RANK_TOL, seed=42):
     return np.array(out)
 
 
-def characteristic_system_test(spec, point, tol=1e-9, seed=42):
+def characteristic_system_test(spec, point):
     """Whether the generating line is characteristic for the bracket closure.
 
     Implements the dual route: with mu = i(X) d theta(-1,-2), the test is
     whether i(X) d mu annihilates span{A_j, X, [A_j, X]} at the point.
     Returns (contained, max_pairing).
     """
-    report = contact_torsion(spec, seed=seed)
-    if report.is_zero != TorsionReport.PROVED_ZERO:
+    geo, fpoint = _float_point(spec, point)
+    if contact_torsion(spec).is_zero != TorsionReport.PROVED_ZERO:
         raise TorsionPreconditionError(
             "characteristic test requires vanishing contact torsion"
         )
-    geo = geometry(spec)
-    fpoint = {k: float(v) for k, v in point.items()}
     nu_vals = geo.eval_fields("nu", [geo.nu_form()], fpoint)[:, 0]
-    vectors = partial_uw_vectors(spec, point)
     worst = 0.0
-    for v in vectors:
-        worst = max(worst, abs(float(np.dot(nu_vals, np.asarray(v, dtype=float)))))
+    for v in geo.eval_fields("partial_uw", _partial_uw_fields(geo), fpoint).T:
+        worst = max(worst, abs(float(np.dot(nu_vals, v))))
     scale = max(1.0, float(np.max(np.abs(nu_vals))))
-    return worst <= tol * scale * 10, worst
+    return worst <= RANK_TOL * scale * 10, worst
 
 
 # --- adapted graded frame ---------------------------------------------------------
@@ -808,9 +803,6 @@ def characteristic_system_test(spec, point, tol=1e-9, seed=42):
 class AdaptedFrameReport:
     max_residual: float
     residuals: dict
-
-
-_Z_DEGREE = {"t(-1,0)": -1, "t(0,-2)": -2, "t(-1,-2)": -3, "t(-2,-2)": -4}
 
 
 def _u_frame(geo):
@@ -832,19 +824,11 @@ def _adapted_frame_data(geo):
     positions in that list of the frame fields spanning it."""
     if "adapted" in geo._cache:
         return geo._cache["adapted"]
-    from .graded_sp import GradedLieAlgebra
-
     algebra = GradedLieAlgebra(geo.n, "P12", geo.omega)
     u_fields = _u_frame(geo)
     names = list(u_fields)
-    z_of = {}
-    for nm in names:
-        if nm in _Z_DEGREE:
-            z_of[nm] = _Z_DEGREE[nm]
-        elif nm.startswith("a"):
-            z_of[nm] = -1
-        else:
-            z_of[nm] = -2
+    bidegree = {nm: algebra.basis[algebra.index[nm]].bidegree for nm in names}
+    z_of = {nm: algebra.z_degree(b) for nm, b in bidegree.items()}
     pairs = []
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
@@ -856,25 +840,24 @@ def _adapted_frame_data(geo):
             pairs.append((na, nb, level, bracket_field, constants))
     fields = list(u_fields.values()) + [pair[3] for pair in pairs]
     col = {nm: j for j, nm in enumerate(names)}
-    levels = {-1: [col[nm] for nm in names if nm.startswith("a")] + [col["t(-1,0)"]]}
-    levels[-2] = levels[-1] + [col["t(0,-2)"]] + [col[nm] for nm in names if nm.startswith("e")]
-    levels[-3] = levels[-2] + [col["t(-1,-2)"]]
+    # a level's span lists its fields by Z-degree, then by bidegree; the
+    # column order fixes the least-squares residuals to the last bit
+    order = sorted(names, key=lambda nm: (z_of[nm], bidegree[nm]), reverse=True)
+    levels = {k: [col[nm] for nm in order if z_of[nm] >= k] for k in (-1, -2, -3)}
     geo._cache["adapted"] = (u_fields, pairs, fields, levels)
     return geo._cache["adapted"]
 
 
-def adapted_frame_check(spec, point, tol=1e-9):
+def adapted_frame_check(spec, point):
     """Compare brackets of the adapted frame against the model constants.
 
     Every pairwise bracket of the graded frame must equal the structure
     constant combination modulo the next filtration level; the maximum
     least-squares residual over all pairs is reported.
     """
-    geo = geometry(spec)
-    fpoint = {k: float(v) for k, v in point.items()}
-    report = contact_torsion(spec)
-    tau_vals = [abs(float(t.evaluate(fpoint))) for t in report.tau_ring]
-    if max(tau_vals, default=0.0) > 1e-9:
+    geo, fpoint = _float_point(spec, point)
+    tau_vals = [abs(float(t.evaluate(fpoint))) for t in contact_torsion(spec).tau_ring]
+    if max(tau_vals, default=0.0) > RANK_TOL:
         raise TorsionPreconditionError(
             "adapted frame is defined only where the contact torsion vanishes"
         )
@@ -906,14 +889,8 @@ def torsion_obstruction_values(spec, point):
     Nonzero values witness that no graded frame can match the model
     brackets at the point.
     """
-    geo = geometry(spec)
-    fpoint = {k: float(v) for k, v in point.items()}
-    th = geo.coframe["theta(-1,-2)"]
-    out = []
-    for i in range(1, geo.m + 1):
-        val = th.pair(geo.torsion_bracket(i))
-        out.append(float(val.evaluate(fpoint)))
-    return out
+    _, fpoint = _float_point(spec, point)
+    return [float(t.evaluate(fpoint)) for t in contact_torsion(spec).bracket_tau]
 
 
 # --- random spec population --------------------------------------------------------

@@ -14,7 +14,9 @@ expression prints as written.  Everything else that builds a tree (the
 arithmetic operators, `diff`, `simplify`) builds it simplified: constants
 folded, 0/1 identities applied, double negation removed.  Differentiation is
 exact on the tree; evaluation follows standard semantics and raises on
-division by zero or log of a non-positive number.
+division by zero or log of a non-positive number.  Trees answer the ring
+interface `Polynomial` has (`diff`, `evaluate`, `is_zero`, `variables`),
+plus `children`, so fields and forms hold either ring without asking which.
 """
 
 import math
@@ -85,6 +87,19 @@ class Expr:
     def to_str(self, prec=0):
         raise NotImplementedError
 
+    # --- the ring interface Polynomial also has -----------------------------
+    def children(self):
+        """The direct subtrees, left to right."""
+        return ()
+
+    def is_zero(self):
+        """True for the constant 0 only; no other tree is decided zero here."""
+        return False
+
+    def variables(self):
+        """The names of the variables the tree mentions."""
+        return set().union(*(c.variables() for c in self.children()))
+
     def __str__(self):
         return self.to_str()
 
@@ -121,6 +136,9 @@ class Num(Expr):
     def evaluate(self, env):
         return self.value
 
+    def is_zero(self):
+        return self.value == 0
+
     def to_str(self, prec=0):
         v = self.value
         if isinstance(v, Fraction) and v.denominator != 1:
@@ -155,6 +173,9 @@ class Var(Expr):
         except KeyError:
             raise ExprNameError(f"unbound variable {self.name!r}") from None
 
+    def variables(self):
+        return {self.name}
+
     def to_str(self, prec=0):
         return self.name
 
@@ -175,6 +196,9 @@ class Bin(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
+
+    def children(self):
+        return (self.left, self.right)
 
     def diff(self, var):
         l, r = self.left, self.right
@@ -232,6 +256,9 @@ class Neg(Expr):
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
+    def children(self):
+        return (self.arg,)
+
     def diff(self, var):
         return _neg(self.arg.diff(var))
 
@@ -255,6 +282,9 @@ class Pow(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
+
+    def children(self):
+        return (self.base,)
 
     def diff(self, var):
         k = self.exponent
@@ -291,6 +321,9 @@ class Call(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
+
+    def children(self):
+        return (self.arg,)
 
     def diff(self, var):
         inner = self.arg.diff(var)

@@ -11,8 +11,9 @@ machinery: everything happens in one chart.
 (`_Components`: sum, difference, negation, `scale`, `map`) and add only their
 geometry.  Every non-constant entry of the frame, the coframe and the
 Grassmannian forms is an omega-contraction such as omega_ip u^p, computed once
-per function by `contract`.  Components may also be expression trees; the
-engine maps the polynomial frame to trees for non-polynomial specs.
+per function by `contract`.  Components may also be expression trees, which
+answer the same ring interface (`is_zero`, `variables`, `diff`, `evaluate`);
+the engine maps the polynomial frame to trees for non-polynomial specs.
 """
 
 import itertools
@@ -92,7 +93,7 @@ class _Components:
     __slots__ = ("components",)
 
     def __init__(self, components=None):
-        self.components = {k: v for k, v in (components or {}).items() if not _is_zero(v)}
+        self.components = {k: v for k, v in (components or {}).items() if not v.is_zero()}
 
     def map(self, fn):
         return type(self)({k: fn(v) for k, v in self.components.items()})
@@ -118,6 +119,13 @@ class _Components:
     __mul__ = scale  # `contract` writes its products as component * w
 
 
+def _evaluate(self, chart, point):
+    """Component values at a point, in chart order: the `evaluate` of fields
+    and one-forms, held by each class under its own name so that
+    `perfbench/tracer.py` counts the two apart."""
+    return [self.components.get(nm, PZERO).evaluate(point) for nm in chart.names]
+
+
 class VectorField(_Components):
     """Derivation with one component per coordinate; components are ring elements."""
 
@@ -140,39 +148,22 @@ class VectorField(_Components):
             return PZERO if skipped is None else skipped[0] * skipped[1]
         return total
 
-    def evaluate(self, chart, point):
-        return [
-            _num(self.components.get(nm, PZERO), point) for nm in chart.names
-        ]
+    evaluate = _evaluate
 
     def __repr__(self):
         body = ", ".join(f"d/d{k}: {v}" for k, v in sorted(self.components.items()))
         return f"VectorField({body})"
 
 
-def _is_zero(x):
-    if isinstance(x, Polynomial):
-        return x.is_zero()
-    if isinstance(x, Num):
-        return x.value == 0
-    return x == 0
-
-
 def _vanishing_term(comp, d):
     """True when comp * d is an exact zero of their ring, which leaves every
     sum unchanged: d is zero and neither is a float constant, whose 0.0
     would turn a sum of rational constants into a float."""
-    return _is_zero(d) and not (_float_constant(d) or _float_constant(comp))
+    return d.is_zero() and not (_float_constant(d) or _float_constant(comp))
 
 
 def _float_constant(x):
     return isinstance(x, Num) and isinstance(x.value, float)
-
-
-def _num(x, point):
-    if isinstance(x, (int, Fraction, float)):
-        return x
-    return x.evaluate(point)
 
 
 def lie_bracket(x, y, coords=None):
@@ -209,7 +200,7 @@ class OneForm(_Components):
         """Exterior derivative."""
         out = {}
         for coord, comp in self.components.items():
-            for var in sorted(_vars_of(comp)):
+            for var in sorted(comp.variables()):
                 if var == coord:
                     continue
                 key, sign = ((var, coord), 1) if var < coord else ((coord, var), -1)
@@ -219,8 +210,7 @@ class OneForm(_Components):
                 out[key] = term if key not in out else out[key] + term
         return TwoForm(out)
 
-    def evaluate(self, chart, point):
-        return [_num(self.components.get(nm, PZERO), point) for nm in chart.names]
+    evaluate = _evaluate
 
     def __repr__(self):
         body = " + ".join(f"({v}) d{k}" for k, v in sorted(self.components.items()))
@@ -271,7 +261,7 @@ class TwoForm(_Components):
         size = len(fields)
         out = [[0] * size for _ in range(size)]
         for (a, b), comp in self.components.items():
-            cval = _num(comp, point)
+            cval = comp.evaluate(point)
             ia, ib = idx[a], idx[b]
             for r in range(size):
                 for c in range(size):
@@ -281,28 +271,6 @@ class TwoForm(_Components):
     def __repr__(self):
         body = " + ".join(f"({v}) d{a}^d{b}" for (a, b), v in sorted(self.components.items()))
         return f"TwoForm({body or 0})"
-
-
-def _vars_of(comp):
-    if isinstance(comp, Polynomial):
-        return comp.variables()
-    return comp_variables(comp)
-
-
-def comp_variables(expr_like):
-    # duck-typed fallback for expression-tree components
-    seen = set()
-
-    def walk(e):
-        for slot in getattr(e, "__slots__", ()):
-            v = getattr(e, slot)
-            if isinstance(v, str) and slot == "name":
-                seen.add(v)
-            elif hasattr(v, "__slots__"):
-                walk(v)
-
-    walk(expr_like)
-    return seen
 
 
 def wedge(a, b):

@@ -130,6 +130,15 @@ def test_ranks_subcommand(tmp_path, capsys):
     assert out.count("ok:") == 3
 
 
+def test_ranks_at_a_pole_of_c_is_a_degenerate_point(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 3, "C": "1/u1", "f0": "0", "f": ["0", "0"]}')
+    code, out, err = run_cli(["ranks", str(spec), "--point", "0,0,0,0,0,0,0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: C vanishes or is undefined at the requested point\n"
+
+
 def test_integrate_subcommand(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_FLAT)

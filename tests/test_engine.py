@@ -274,6 +274,18 @@ def test_pole_spec_torsion_completes():
     assert contact_torsion(fixed).is_zero != TorsionReport.PROVED_NONZERO
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_large_magnitude_representatives_are_not_proved_nonzero():
+    # sympy gives tau = 0 for both representatives; at the float witnesses
+    # (u2 = -6 and u2 = -5) the rounding error of the formally zero sum
+    # exceeds the absolute 1e-9 the witness must beat
+    verdicts = []
+    for f0 in ("sin(u1)*exp(u2^2)", "x1^3*exp(2*u1)*u2^4"):
+        spec = spec_from_dict({"n": 3, "f0": f0, "f": ["exp(2*u2)*x1", "u1^2*sin(u2)"]})
+        verdicts.append(contact_torsion(torsion_free_representative(spec)).is_zero)
+    assert TorsionReport.PROVED_NONZERO not in verdicts
+
+
 def test_variable_c_torsion_removal():
     spec = spec_from_dict({"n": 3, "C": "1 + u1^2", "f0": "u1*u2", "f": ["0", "0"]})
     assert contact_torsion(spec).is_zero == TorsionReport.PROVED_NONZERO
@@ -306,6 +318,42 @@ def test_ranks_degenerate_point():
     spec = spec_from_dict({"n": 3, "C": "u1", "f0": "0", "f": ["0", "0"]})
     with pytest.raises(DegeneratePointError):
         filtration_ranks(spec, spec.chart().origin())
+
+
+_POINT_CHECKS = {
+    "filtration_ranks": filtration_ranks,
+    "semiregular_ranks": engine.semiregular_ranks,
+    "vertical_escape": vertical_escape,
+    "skew_complement_W": lambda spec, pt: skew_complement_W(spec, pt, 0, 1),
+    "partial_uw_vectors": partial_uw_vectors,
+    "secondary_torsion": secondary_torsion,
+    "characteristic_system_test": characteristic_system_test,
+    "adapted_frame_check": adapted_frame_check,
+    "torsion_obstruction_values": torsion_obstruction_values,
+}
+
+# (check, C, whether to take the torsion-free representative of a spec with
+# nonzero data): every case is at the origin, where C = u1 vanishes, C = 1/u1
+# has a pole and C = 1e-10 lies below RANK_TOL
+_DEGENERATE_C = (
+    [(name, "u1", False) for name in _POINT_CHECKS]
+    + [(name, "1/u1", False) for name in _POINT_CHECKS]
+    + [("adapted_frame_check", "u1", True)]
+    + [(name, "1/10000000000", False)
+       for name in ("secondary_torsion", "characteristic_system_test", "adapted_frame_check")]
+)
+
+
+@pytest.mark.parametrize(("name", "c", "representative"), _DEGENERATE_C,
+                         ids=[f"{name}-C={c}{'-rep' if rep else ''}" for name, c, rep in _DEGENERATE_C])
+def test_point_checks_refuse_a_point_where_c_vanishes_or_is_undefined(name, c, representative):
+    if representative:
+        spec = torsion_free_representative(
+            spec_from_dict({"n": 3, "C": c, "f0": "u2*x1", "f": ["x2", "u1*u2"]}))
+    else:
+        spec = spec_from_dict({"n": 3, "C": c, "f0": "0", "f": ["0", "0"]})
+    with pytest.raises(DegeneratePointError, match="C vanishes or is undefined"):
+        _POINT_CHECKS[name](spec, spec.chart().origin())
 
 
 def test_vertical_direction_not_in_partial_uw():

@@ -178,3 +178,29 @@ def test_parse_prints_a_parsed_tree_back(e):
 @given(simplified)
 def test_parse_prints_a_simplified_tree_back(e):
     assert str(ex.simplify(ex.parse(str(e), VARS))) == str(e)
+
+
+def var_names(e):
+    """The Var names in a tree, by a walk over the node types."""
+    if isinstance(e, ex.Var):
+        return {e.name}
+    if isinstance(e, ex.Num):
+        return set()
+    if isinstance(e, ex.Bin):
+        return var_names(e.left) | var_names(e.right)
+    if isinstance(e, ex.Pow):
+        return var_names(e.base)
+    return var_names(e.arg)
+
+
+@given(trees)
+def test_variables_are_the_var_names_and_cover_the_polynomial(e):
+    assert e.variables() == var_names(e)
+    poly = e.as_polynomial()
+    if poly is not None:
+        assert poly.variables() <= e.variables()
+
+
+@given(st.one_of(trees, simplified))
+def test_is_zero_holds_exactly_for_a_zero_literal(e):
+    assert e.is_zero() == (isinstance(e, ex.Num) and e.value == 0)
