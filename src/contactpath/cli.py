@@ -144,10 +144,9 @@ def cmd_flat_check(args):
                 ok = False
         checks.append((label, ok))
 
-    res = flat_model.maurer_cartan_residual(n)
-    checks.append(("structure equation dTheta + Theta^Theta = 0", flat_model.residual_is_zero(res)))
-
     theta = flat_model.theta_matrix(n)
+    res = flat_model.structure_equation_residual(theta)
+    checks.append(("structure equation dTheta + Theta^Theta = 0", flat_model.residual_is_zero(res)))
     theta[2 * n - 2][1] = flat_model.OneForm({"u0": flat_model.PONE})
     res = flat_model.structure_equation_residual(theta)
     checks.append(("negative control (broken coframe) nonzero", not flat_model.residual_is_zero(res)))

@@ -18,10 +18,12 @@ non-polynomial spec stay small.
 The float-point checks (`filtration_ranks`, `semiregular_ranks`,
 `vertical_escape`, `skew_complement_W`, `partial_uw_vectors`,
 `secondary_torsion`, `characteristic_system_test`, `adapted_frame_check`,
-`torsion_obstruction_values`) share one contract.  Each refuses, with
-`DegeneratePointError`, a point where C is undefined or |C| < RANK_TOL.
-Their ranks and vanishing tests read that one absolute tolerance,
-RANK_TOL = 1e-9, scaled by the data where they say so; only
+`torsion_obstruction_values`) and `torsion_point_reduction` share one
+contract.  Each refuses, with `DegeneratePointError`, a point where C is
+undefined (a pole, or a value that overflows) or |C| < RANK_TOL, and the
+point sampler skips such points: one C rule, `_c_refused`.  Their ranks go
+through `_nrank`, and ranks and vanishing tests read that one absolute
+tolerance, RANK_TOL = 1e-9, scaled by the data where they say so; only
 `secondary_torsion`'s guard against leaking out of E-perp uses its own
 relative 1e-6.  No call takes a tolerance.  `torsion_point_reduction` is
 exact at rational points of a polynomial spec.  At float points a
@@ -45,6 +47,7 @@ from . import flat_model as fm
 from .errors import (
     DegeneratePointError,
     ExprError,
+    ExprEvalError,
     SpecFormatError,
     TorsionPreconditionError,
 )
@@ -235,23 +238,23 @@ class Geometry:
         self.f0_hat, *self.f_hat = hat
         self._cache = {}
 
-    # normalized generating field X_hat = T(-1,0) + f0_hat T(0,-2) + f_hat^p A_p
-    def x_hat(self):
-        if "x_hat" not in self._cache:
-            x = self.frame["T(-1,0)"] + self.frame["T(0,-2)"].scale(self.f0_hat)
-            for p in range(1, self.m + 1):
-                x = x + self.frame[f"A{p}"].scale(self.f_hat[p - 1])
-            self._cache["x_hat"] = x
-        return self._cache["x_hat"]
-
-    def x_raw(self):
-        if "x_raw" not in self._cache:
-            c, f0, *f = self.raw
-            x = self.frame["T(-1,0)"].scale(c) + self.frame["T(0,-2)"].scale(f0)
+    def _generating(self, key, c, f0, f):
+        """c T(-1,0) + f0 T(0,-2) + f^p A_p, built once and kept under `key`."""
+        if key not in self._cache:
+            t = self.frame["T(-1,0)"]  # a scale by 1 would only redo its arithmetic
+            x = (t if c == 1 else t.scale(c)) + self.frame["T(0,-2)"].scale(f0)
             for p in range(1, self.m + 1):
                 x = x + self.frame[f"A{p}"].scale(f[p - 1])
-            self._cache["x_raw"] = x
-        return self._cache["x_raw"]
+            self._cache[key] = x
+        return self._cache[key]
+
+    def x_hat(self):
+        """The normalized generating field, whose C is 1."""
+        return self._generating("x_hat", 1, self.f0_hat, self.f_hat)
+
+    def x_raw(self):
+        c, f0, *f = self.raw
+        return self._generating("x_raw", c, f0, f)
 
     def a_field(self, i):
         return self.frame[f"A{i}"]
@@ -298,12 +301,7 @@ class Geometry:
             Tm10 = self.frame["T(-1,0)"]
             E = [self.frame[f"E{i}"] for i in range(1, m + 1)]
             e_gens = A + [T02, self.x_hat()]
-            bracket_fields = []
-            for i, gi in enumerate(e_gens):
-                for gj in e_gens[i + 1:]:
-                    bracket_fields.append(fm.lie_bracket(gi, gj))
-            partial_e = e_gens + bracket_fields
-            second = [fm.lie_bracket(gi, h) for gi in e_gens for h in partial_e]
+            partial_e, partial2_e = _bracket_levels(e_gens, 2)
             self._cache["filtration"] = {
                 "u": A,
                 "v": A + [T02],
@@ -312,7 +310,7 @@ class Geometry:
                 "e_perp": _eperp_fields(self),
                 "h": A + [T02, Tm10, self.frame["T(-1,-2)"]] + E,
                 "partial_e": partial_e,
-                "partial2_e": partial_e + second,
+                "partial2_e": partial2_e,
             }
         return self._cache["filtration"]
 
@@ -326,8 +324,7 @@ class Geometry:
 
     def dbeta_matrix(self, r, s):
         """Coordinate matrix of d(r theta(-2,-2) + s theta(-1,-2)); constant."""
-        key = ("dbeta", Fraction(r) if not isinstance(r, float) else r,
-               Fraction(s) if not isinstance(s, float) else s)
+        key = ("dbeta", float(r), float(s))
         if key not in self._cache:
             dim = self.chart.dim
             idx = {nm: i for i, nm in enumerate(self.chart.names)}
@@ -361,13 +358,22 @@ class Geometry:
         float point.  A polynomial geometry lowers `fields` to a monomial
         table on the first call with `key` and reuses it for every later
         point; each key must always name the same fields.  Other geometries
-        walk the trees with `eval_field`."""
-        if not self.polynomial:
-            return np.column_stack([self.eval_field(f, point) for f in fields])
-        table = self._cache.get(("table", key))
-        if table is None:
-            table = self._cache[("table", key)] = MonomialTable(self.chart.names, fields)
-        return table(point)
+        walk the trees with `eval_field`.  A value that overflows to inf or
+        nan raises `ExprEvalError`, as a pole does."""
+        if self.polynomial:
+            table = self._cache.get(("table", key))
+            if table is None:
+                table = self._cache[("table", key)] = MonomialTable(self.chart.names, fields)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = table(point)
+        else:
+            try:
+                vals = np.column_stack([self.eval_field(f, point) for f in fields])
+            except OverflowError:
+                vals = None
+        if vals is None or not np.isfinite(vals).all():
+            raise ExprEvalError("a field value overflows at the requested point")
+        return vals
 
 
 def geometry(spec):
@@ -395,36 +401,43 @@ class TorsionReport:
     UNDETERMINED = "undetermined"
 
 
+def _c_refused(spec, point):
+    """The C rule: true where C is undefined (a pole, a log domain error or
+    an overflow) or |C| < RANK_TOL.  Every float-point check refuses such a
+    point, and the sampler skips it."""
+    try:
+        return abs(float(spec.C.evaluate(point))) < RANK_TOL
+    except (ExprError, OverflowError):
+        return True
+
+
 def iter_seeded_points(spec, count, seed=42, avoid_c_zero=True):
     """Deterministic rational sample points in the chart of a spec, drawn
     one at a time from `Random(seed)`: a caller that stops early draws only
-    the points it read, and the k-th point is the same however many follow."""
+    the points it read, and the k-th point is the same however many follow.
+    With `avoid_c_zero`, points the C rule refuses are skipped."""
     rng = Random(seed)
     names = spec.chart().names
     found = attempts = 0
     while found < count:
         attempts += 1
         if attempts > 200 * count + 200:
-            raise DegeneratePointError("could not sample points with C != 0")
+            raise DegeneratePointError(
+                "could not sample points where C is defined and |C| >= RANK_TOL")
         pt = {
             nm: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
             for nm in names
         }
-        if avoid_c_zero:
-            try:
-                cv = spec.C.evaluate(pt)
-            except ExprError:
-                continue
-            if cv == 0 or (isinstance(cv, float) and abs(cv) < 1e-9):
-                continue
+        if avoid_c_zero and _c_refused(spec, pt):
+            continue
         found += 1
         yield pt
 
 
-def seeded_points(spec, count, seed=42, avoid_c_zero=True):
+def seeded_points(spec, count, seed=42):
     """Deterministic rational sample points in the chart of a spec: the
     first `count` points of `iter_seeded_points`, as a list."""
-    return list(iter_seeded_points(spec, count, seed, avoid_c_zero))
+    return list(iter_seeded_points(spec, count, seed))
 
 
 def contact_torsion(spec, seed=42):
@@ -486,7 +499,7 @@ def _decide_zero(spec, tau, geo, seed):
         big = max(vals) if vals else 0.0
         if big > worst:
             worst, witness = big, pt
-    if worst > 1e-9:
+    if worst > RANK_TOL:
         return TorsionReport.PROVED_NONZERO, witness
     return TorsionReport.UNDETERMINED, None
 
@@ -494,13 +507,7 @@ def _decide_zero(spec, tau, geo, seed):
 def torsion_point_reduction(spec, point):
     """Rank-based torsion extraction at a point: reduce [[A_i, X], X] modulo
     span{A_j, T(0,-2), X, E_j} and read the T(-1,-2) coefficient."""
-    geo = geometry(spec)
-    try:
-        cval = spec.C.evaluate(point)
-    except ExprError:
-        cval = 0
-    if cval == 0 or (isinstance(cval, float) and abs(cval) < RANK_TOL):
-        raise DegeneratePointError("C vanishes at the requested point")
+    geo, _ = _float_point(spec, point)
     exact = geo.polynomial and all(isinstance(v, (int, Fraction)) for v in point.values())
     span_fields = (
         [geo.a_field(j) for j in range(1, geo.m + 1)]
@@ -522,10 +529,12 @@ def torsion_point_reduction(spec, point):
             out.append(coeffs[len(span_fields)])
         return out
     brackets = [geo.double_bracket(i) for i in range(1, geo.m + 1)]
+    # `point`, not its float copy: a tree walk keeps rational arithmetic
+    # where it can, which fixes the last bits of the result
     vals = geo.eval_fields("reduction", span_fields + tail + brackets, point)
     width = len(span_fields) + len(tail)
     mat = vals[:, :width]
-    if np.linalg.matrix_rank(mat[:, : len(span_fields)], tol=RANK_TOL) != 4 * geo.n - 6:
+    if _nrank(mat[:, : len(span_fields)]) != 4 * geo.n - 6:
         raise DegeneratePointError("reduction span lost rank (C vanishes here?)")
     out = []
     for i in range(geo.m):
@@ -589,14 +598,27 @@ class RankTable:
 
 def _float_point(spec, point):
     """(geometry, point as floats) for a float-point check, after the C rule:
-    a point where C is undefined or |C| < RANK_TOL is refused."""
-    try:
-        c = abs(float(spec.C.evaluate(point)))
-    except ExprError:
-        c = 0.0
-    if c < RANK_TOL:
+    a point the C rule refuses raises `DegeneratePointError`."""
+    if _c_refused(spec, point):
         raise DegeneratePointError("C vanishes or is undefined at the requested point")
     return geometry(spec), {k: float(v) for k, v in point.items()}
+
+
+def _bracket_levels(gens, depth):
+    """The first `depth` iterated bracket spans of `gens`, as field lists,
+    each extending the one before it.  The first is the generators and
+    their brackets [g_i, g_j], i < j; each next one appends [g, h] for every
+    generator g and every field h the previous list added (for the first
+    list, all of it)."""
+    level = list(gens)
+    for i, gi in enumerate(gens):
+        for gj in gens[i + 1:]:
+            level.append(fm.lie_bracket(gi, gj))
+    levels, added = [level], level
+    for _ in range(depth - 1):
+        added = [fm.lie_bracket(g, h) for g in gens for h in added]
+        levels.append(levels[-1] + added)
+    return levels
 
 
 def _nrank(mat):
@@ -629,21 +651,8 @@ def semiregular_ranks(spec, point):
     key = "semiregular"
     if key not in geo._cache:
         gens = [geo.a_field(i) for i in range(1, geo.m + 1)] + [geo.x_hat()]
-        level1 = list(gens)
-        for i, gi in enumerate(gens):
-            for gj in gens[i + 1:]:
-                level1.append(fm.lie_bracket(gi, gj))
-        level2 = list(level1)
-        for gi in gens:
-            for h in level1:
-                level2.append(fm.lie_bracket(gi, h))
-        level3 = list(level2)
-        for gi in gens:
-            for h in level2[len(level1):]:
-                level3.append(fm.lie_bracket(gi, h))
-        geo._cache[key] = (level1, level2, level3)
+        geo._cache[key] = _bracket_levels(gens, 3)
     spans = geo._cache[key]
-    # each level extends the one before it
     vals = geo.eval_fields(key, spans[-1], fpoint)
     return tuple(_nrank(vals[:, :len(span)]) for span in spans)
 
@@ -684,7 +693,7 @@ def skew_complement_W(spec, point, r, s):
     field_mat = geo.eval_fields("e_perp", fields, fpoint)
     gram = field_mat.T @ dbeta_mat @ field_mat
     size = len(fields)
-    nondeg = np.linalg.matrix_rank(gram, tol=RANK_TOL) == size
+    nondeg = _nrank(gram) == size
     # X coordinates in the E-perp basis are read off the normalized data
     xi = np.zeros(size)
     for p in range(1, geo.m + 1):
@@ -715,10 +724,7 @@ def _nullspace_numeric(mat):
 def _same_span(a, b):
     if a.shape[1] != b.shape[1]:
         return False
-    ra = np.linalg.matrix_rank(a, tol=RANK_TOL)
-    rb = np.linalg.matrix_rank(b, tol=RANK_TOL)
-    rc = np.linalg.matrix_rank(np.hstack([a, b]), tol=RANK_TOL)
-    return ra == rb == rc
+    return _nrank(a) == _nrank(b) == _nrank(np.hstack([a, b]))
 
 
 def _partial_uw_fields(geo):
@@ -744,6 +750,16 @@ def spans_equal(vectors_a, vectors_b):
 
 # --- secondary torsion -----------------------------------------------------------
 
+def _torsion_free_point(spec, point):
+    """`_float_point`, for a spec whose contact torsion is proved zero."""
+    geo_point = _float_point(spec, point)
+    if contact_torsion(spec).is_zero != TorsionReport.PROVED_ZERO:
+        raise TorsionPreconditionError(
+            "secondary torsion and the characteristic test are defined only when "
+            "the contact torsion vanishes")
+    return geo_point
+
+
 def secondary_torsion(spec, point):
     """Secondary contact torsion components at a point.
 
@@ -752,16 +768,12 @@ def secondary_torsion(spec, point):
     [X, [X, A_i]] modulo span{A_j, X, [A_j, X]}.  Only its vanishing is
     invariant; the numeric vector is chart-normalized.
     """
-    geo, fpoint = _float_point(spec, point)
-    if contact_torsion(spec).is_zero != TorsionReport.PROVED_ZERO:
-        raise TorsionPreconditionError(
-            "secondary torsion is defined only when the contact torsion vanishes"
-        )
+    geo, fpoint = _torsion_free_point(spec, point)
     cols = _partial_uw_fields(geo) + [geo.frame[k] for k in ("T(0,-2)", "T(-1,-2)", "T(-2,-2)")]
     brackets = [geo.secondary_bracket(i) for i in range(1, geo.m + 1)]
     vals = geo.eval_fields("secondary", cols + brackets, fpoint)
     mat = vals[:, :len(cols)]
-    if np.linalg.matrix_rank(mat, tol=RANK_TOL) != 4 * geo.n - 4:
+    if _nrank(mat) != 4 * geo.n - 4:
         raise DegeneratePointError("tangent basis lost rank at the point")
     out = []
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -784,11 +796,7 @@ def characteristic_system_test(spec, point):
     whether i(X) d mu annihilates span{A_j, X, [A_j, X]} at the point.
     Returns (contained, max_pairing).
     """
-    geo, fpoint = _float_point(spec, point)
-    if contact_torsion(spec).is_zero != TorsionReport.PROVED_ZERO:
-        raise TorsionPreconditionError(
-            "characteristic test requires vanishing contact torsion"
-        )
+    geo, fpoint = _torsion_free_point(spec, point)
     nu_vals = geo.eval_fields("nu", [geo.nu_form()], fpoint)[:, 0]
     worst = 0.0
     for v in geo.eval_fields("partial_uw", _partial_uw_fields(geo), fpoint).T:
@@ -895,7 +903,7 @@ def torsion_obstruction_values(spec, point):
 
 # --- random spec population --------------------------------------------------------
 
-def random_polynomial_spec(n, rng_or_seed, degree=3, terms=3, torsion_free=False):
+def random_polynomial_spec(n, rng_or_seed, degree=3, torsion_free=False):
     """Random sparse polynomial spec (C = 1) for sweeps and acceptance runs."""
     rng = rng_or_seed if isinstance(rng_or_seed, Random) else Random(rng_or_seed)
     m = 2 * n - 4
@@ -904,7 +912,7 @@ def random_polynomial_spec(n, rng_or_seed, degree=3, terms=3, torsion_free=False
 
     def rand_poly_src():
         parts = []
-        for _ in range(rng.randint(1, terms)):
+        for _ in range(rng.randint(1, 3)):
             coef = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
             if coef == 0:
                 coef = Fraction(1)

@@ -113,8 +113,8 @@ class Expr:
         except _NotPolynomial:
             return None
 
-    def simplify(self):
-        return simplify(self)
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
 
 
 class _NotPolynomial(Exception):
@@ -126,9 +126,6 @@ class Num(Expr):
 
     def __init__(self, value):
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def diff(self, var):
         return Num(Fraction(0))
@@ -161,9 +158,6 @@ class Var(Expr):
     def __init__(self, name):
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def diff(self, var):
         return Num(Fraction(1 if self.name == var else 0))
 
@@ -193,9 +187,6 @@ class Bin(Expr):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def children(self):
         return (self.left, self.right)
@@ -253,9 +244,6 @@ class Neg(Expr):
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def children(self):
         return (self.arg,)
 
@@ -279,9 +267,6 @@ class Pow(Expr):
     def __init__(self, base, exponent):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def children(self):
         return (self.base,)
@@ -318,9 +303,6 @@ class Call(Expr):
     def __init__(self, func, arg):
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def children(self):
         return (self.arg,)
@@ -599,7 +581,3 @@ def parse(src, variables, functions=None):
 
 def diff(e, var):
     return simplify(e.diff(var))
-
-
-def evaluate(e, env):
-    return e.evaluate(env)

@@ -404,7 +404,7 @@ def frame_coframe_pairs(n):
     return pairs
 
 
-def pdq_frame(n, omega=None):
+def pdq_frame(n):
     """Alternative frame from the (p, q) contactomorphism chart.
 
     Same keys as frame(); satisfies the same bracket relations.  Chart
@@ -413,7 +413,7 @@ def pdq_frame(n, omega=None):
     if n < 3:
         raise UnsupportedDimensionError("pdq_frame requires n >= 3")
     m = 2 * n - 4
-    om = _omega(m, omega)
+    om = _omega(m)
     u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
     u0 = Polynomial.variable("u0")
     x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
@@ -442,11 +442,11 @@ def pdq_frame(n, omega=None):
 
 # --- structure equation -----------------------------------------------------
 
-def theta_matrix(n, omega=None):
+def theta_matrix(n):
     """The flat-model connection form: a (2n) x (2n) matrix of one-forms."""
-    cf = coframe(n, omega)
+    cf = coframe(n)
     m = 2 * n - 4
-    om = _omega(m, omega)
+    om = _omega(m)
     d = 2 * n
     zero = OneForm()
     theta = [[zero for _ in range(d)] for _ in range(d)]
@@ -484,9 +484,9 @@ def structure_equation_residual(theta):
     return out
 
 
-def maurer_cartan_residual(n, omega=None):
+def maurer_cartan_residual(n):
     """Residual of the structure equation for the flat-model form."""
-    return structure_equation_residual(theta_matrix(n, omega))
+    return structure_equation_residual(theta_matrix(n))
 
 
 def residual_is_zero(res):
@@ -553,20 +553,24 @@ def qk_forms(n, k, omega=None):
     return QkForms(n, k, chart, theta, omega_forms, fields, vertical)
 
 
-def qk_psi_power_nonzero(n, k, point=None):
+def _origin_grams(qk):
+    """{(a, b): the Gram matrix of Omega_ab} on the spanning fields (i, a),
+    ordered by a, then i, at the chart origin."""
+    w = 2 * (qk.n - qk.k)
+    fields = [qk.fields[(i, a)] for a in range(1, qk.k + 1) for i in range(1, w + 1)]
+    point = qk.chart.origin()
+    return {key: form.gram(qk.chart, fields, point) for key, form in qk.omega_forms.items()}
+
+
+def qk_psi_power_nonzero(n, k):
     """Whether Psi^{n-k} restricted to the multicontact bundle is nonzero.
 
     Psi is the eta-determinant of the matrix of two-forms; the power is
-    evaluated on the full spanning set of fields at the chart point.
+    evaluated on the full spanning set of fields at the chart origin.
     """
-    qk = qk_forms(n, k)
-    point = point or qk.chart.origin()
-    fields = [qk.fields[(i, a)] for a in range(1, k + 1) for i in range(1, 2 * (n - k) + 1)]
-    grams = {}
-    for key, form in qk.omega_forms.items():
-        grams[key] = form.gram(qk.chart, fields, point)
-        grams[(key[1], key[0])] = grams[key]
-    size = len(fields)
+    grams = _origin_grams(qk_forms(n, k))
+    grams.update({(b, a): g for (a, b), g in grams.items()})
+    size = 2 * k * (n - k)
     perms = list(itertools.permutations(range(1, k + 1)))
 
     def sgn(perm):
@@ -635,9 +639,7 @@ def efj_identity_check(n):
         # g(A . , . ): entry (r, c) = g(A v_r, v_c)
         return ela.matmul(ela.transpose(A), g)
 
-    point = qk.chart.origin()
-    fields = [qk.fields[ia] for ia in idx]
-    omega = {key: form.gram(qk.chart, fields, point) for key, form in qk.omega_forms.items()}
+    omega = _origin_grams(qk)
     gE, gF, gJ = g_of(E), g_of(F), g_of(J)
     return {
         "E^2 - I": residual(ela.matsub(ela.matmul(E, E), one)),

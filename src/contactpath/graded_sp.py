@@ -354,56 +354,36 @@ class GradedLieAlgebra:
     def verify_structure_constants(self):
         """Check the tabulated bracket relations exactly.
 
-        Returns a list of (relation, ok) pairs, one per tabulated relation
-        (quantified over all valid indices), plus a trailing summary flag.
+        Returns a list of (relation, ok) pairs, one per tabulated relation,
+        each quantified over all valid indices.
         """
-        m = self.m
         om = self.omega
-        ok_all = {}
-
-        def check(label, name_a, name_b, want):
-            ok_all.setdefault(label, True)
-            try:
-                got = self.bracket_names(name_a, name_b)
-            except InconsistencyError:
-                ok_all[label] = False
-                return
-            if got != {k: v for k, v in want.items() if v}:
-                ok_all[label] = False
-
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                check(
-                    "[a_i,a_j] = -2 omega_ij t(0,-2)",
-                    f"a{i}", f"a{j}", {"t(0,-2)": -2 * om[i - 1][j - 1]},
-                )
-                check(
-                    "[a_i,e_j] = -omega_ij t(-1,-2)",
-                    f"a{i}", f"e{j}", {"t(-1,-2)": -om[i - 1][j - 1]},
-                )
-                check(
-                    "[e_i,e_j] = -2 omega_ij t(-2,-2)",
-                    f"e{i}", f"e{j}", {"t(-2,-2)": -2 * om[i - 1][j - 1]},
-                )
-        for i in range(1, m + 1):
-            check("[a_i,t(-1,0)] = e_i", f"a{i}", "t(-1,0)", {f"e{i}": Fraction(1)})
-            check("[a_i,t(0,-2)] = 0", f"a{i}", "t(0,-2)", {})
-            check("[a_i,t(-1,-2)] = 0", f"a{i}", "t(-1,-2)", {})
-            check("[t(-1,0),e_i] = 0", "t(-1,0)", f"e{i}", {})
-        check("[t(-1,0),t(0,-2)] = -t(-1,-2)", "t(-1,0)", "t(0,-2)", {"t(-1,-2)": Fraction(-1)})
-        check("[t(-1,0),t(-1,-2)] = -2 t(-2,-2)", "t(-1,0)", "t(-1,-2)", {"t(-2,-2)": Fraction(-2)})
-        order = [
-            "[a_i,a_j] = -2 omega_ij t(0,-2)",
-            "[a_i,t(-1,0)] = e_i",
-            "[t(-1,0),t(0,-2)] = -t(-1,-2)",
-            "[a_i,t(0,-2)] = 0",
-            "[a_i,e_j] = -omega_ij t(-1,-2)",
-            "[a_i,t(-1,-2)] = 0",
-            "[t(-1,0),t(-1,-2)] = -2 t(-2,-2)",
-            "[t(-1,0),e_i] = 0",
-            "[e_i,e_j] = -2 omega_ij t(-2,-2)",
+        idx = range(1, self.m + 1)
+        pairs = [(i, j) for i in idx for j in idx]
+        table = [
+            ("[a_i,a_j] = -2 omega_ij t(0,-2)",
+             [(f"a{i}", f"a{j}", {"t(0,-2)": -2 * om[i - 1][j - 1]}) for i, j in pairs]),
+            ("[a_i,t(-1,0)] = e_i", [(f"a{i}", "t(-1,0)", {f"e{i}": 1}) for i in idx]),
+            ("[t(-1,0),t(0,-2)] = -t(-1,-2)", [("t(-1,0)", "t(0,-2)", {"t(-1,-2)": -1})]),
+            ("[a_i,t(0,-2)] = 0", [(f"a{i}", "t(0,-2)", {}) for i in idx]),
+            ("[a_i,e_j] = -omega_ij t(-1,-2)",
+             [(f"a{i}", f"e{j}", {"t(-1,-2)": -om[i - 1][j - 1]}) for i, j in pairs]),
+            ("[a_i,t(-1,-2)] = 0", [(f"a{i}", "t(-1,-2)", {}) for i in idx]),
+            ("[t(-1,0),t(-1,-2)] = -2 t(-2,-2)", [("t(-1,0)", "t(-1,-2)", {"t(-2,-2)": -2})]),
+            ("[t(-1,0),e_i] = 0", [("t(-1,0)", f"e{i}", {}) for i in idx]),
+            ("[e_i,e_j] = -2 omega_ij t(-2,-2)",
+             [(f"e{i}", f"e{j}", {"t(-2,-2)": -2 * om[i - 1][j - 1]}) for i, j in pairs]),
         ]
-        return [(name, ok_all.get(name, True)) for name in order]
+        return [(label, all(self._bracket_is(a, b, want) for a, b, want in cases))
+                for label, cases in table]
+
+    def _bracket_is(self, name_a, name_b, want):
+        """Whether [name_a, name_b] expands to `want` (zero entries ignored)."""
+        try:
+            got = self.bracket_names(name_a, name_b)
+        except InconsistencyError:
+            return False
+        return got == {k: v for k, v in want.items() if v}
 
     def killing(self, a, b):
         """Killing form B(X, Y) = (2n + 2) tr(XY) on coefficient dicts."""

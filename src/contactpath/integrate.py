@@ -19,10 +19,10 @@ apply the operations of the array form `state + 0.5 * h * k1`,
 `state + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)` to each coordinate in the same
 order, and numpy evaluates those elementwise as single IEEE double
 operations, without fused multiply-add, so every float is bitwise what the
-array form gives.  A constant C is compared with `c_min` exactly, once, at
+array form gives.  A constant C is compared with `C_MIN` exactly, once, at
 the initial point; after that the float C is compared.  Both give one
-verdict: rounding is monotone and `c_min` is a float, so an exact C at or
-above `c_min` never rounds below it.
+verdict: rounding is monotone and `C_MIN` is a float, so an exact C at or
+above `C_MIN` never rounds below it.
 """
 
 import contextlib
@@ -35,6 +35,7 @@ from .errors import NonFiniteStateError, SingularArcError, StepUnderflowError
 from .lowering import compile_exprs, exact_constant
 
 _CSV_BLOCK = 128
+C_MIN = 1e-8  # |C| below this ends a path with SingularArcError
 
 
 @dataclass
@@ -174,12 +175,12 @@ def _residuals(spec, ts, states):
     return contact, secondary
 
 
-def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c_min=1e-8):
+def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12):
     """Integrate the generating field from a full coordinate point.
 
     `init` is a point dict or a sequence in chart order.  Fixed-step uses the
     classical fourth-order scheme; adaptive mode controls the error by step
-    doubling.  Stops with SingularArcError if C falls below c_min along the
+    doubling.  Stops with SingularArcError if |C| falls below `C_MIN` along the
     arc, carrying the last good state, and with NonFiniteStateError if the
     path blows up, carrying the last finite state.  When C = 1 identically
     the x_inf coordinate advances with the parameter, matching the usual
@@ -201,7 +202,7 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
     rhs = _compile_rhs(spec)
     first = rhs(state)
     c_start = exact_constant(spec.C)
-    if abs(first[1] if c_start is None else c_start) < c_min:
+    if abs(first[1] if c_start is None else c_start) < C_MIN:
         raise SingularArcError("C vanishes at the initial point", t0, np.array(state))
     ts = [t0]
     history = array("d", state)
@@ -221,7 +222,7 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
             # the right-hand side at the new state, which checks C there,
             # is the next step's first stage
             first = rhs(new_state)
-            if abs(first[1]) < c_min:
+            if abs(first[1]) < C_MIN:
                 raise SingularArcError("C vanished along the arc", t, np.array(state))
             state = new_state
             t += h_eff
@@ -235,7 +236,7 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12, c
         two_half, c = _rk4_step(rhs, half, h_eff / 2)
         err = _error_norm(two_half, full, atol, rtol)
         if err <= 15.0:
-            if abs(c) < c_min:
+            if abs(c) < C_MIN:
                 raise SingularArcError("C vanished along the arc", t, np.array(state))
             t += h_eff
             state = [x + (x - y) / 15.0 for x, y in zip(two_half, full)]

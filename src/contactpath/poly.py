@@ -168,26 +168,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (-sum(e for _, e in m), m)):
-            c = self.terms[mono]
-            factors = ["%s^%d" % (v, e) if e > 1 else v for v, e in mono]
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        from .expr import poly_to_expr  # expr builds on this module
 
-
-ZERO = Polynomial()
-ONE = Polynomial.constant(1)
+        return str(poly_to_expr(self))

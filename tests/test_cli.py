@@ -139,6 +139,22 @@ def test_ranks_at_a_pole_of_c_is_a_degenerate_point(tmp_path, capsys):
     assert err == "error: C vanishes or is undefined at the requested point\n"
 
 
+@pytest.mark.parametrize(("spec_text", "point", "code", "err"), [
+    # exp(900) overflows: C is undefined there
+    ('{"n": 3, "C": "exp(u1^2)", "f0": "0", "f": ["0", "0"]}', "0,0,0,0,0,0,30,0",
+     1, "error: C vanishes or is undefined at the requested point\n"),
+    # 1000^200 overflows in the monomial table and in the tree walk
+    ('{"n": 3, "f0": "u1^200", "f": ["0", "0"]}', "0,0,0,0,0,0,1000,0",
+     2, "a field value overflows at the requested point\n"),
+    ('{"n": 3, "f0": "sin(x1)*u1^200", "f": ["0", "0"]}', "0,0,0,0,0,0,1000,0",
+     2, "a field value overflows at the requested point\n"),
+], ids=["C", "polynomial", "tree"])
+def test_ranks_at_an_overflowing_point_is_refused(spec_text, point, code, err, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert run_cli(["ranks", str(spec), "--point", point], capsys) == (code, "", err)
+
+
 def test_integrate_subcommand(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_FLAT)

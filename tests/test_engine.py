@@ -330,6 +330,7 @@ _POINT_CHECKS = {
     "characteristic_system_test": characteristic_system_test,
     "adapted_frame_check": adapted_frame_check,
     "torsion_obstruction_values": torsion_obstruction_values,
+    "torsion_point_reduction": torsion_point_reduction,
 }
 
 # (check, C, whether to take the torsion-free representative of a spec with
@@ -340,7 +341,8 @@ _DEGENERATE_C = (
     + [(name, "1/u1", False) for name in _POINT_CHECKS]
     + [("adapted_frame_check", "u1", True)]
     + [(name, "1/10000000000", False)
-       for name in ("secondary_torsion", "characteristic_system_test", "adapted_frame_check")]
+       for name in ("secondary_torsion", "characteristic_system_test", "adapted_frame_check",
+                    "torsion_point_reduction")]
 )
 
 
@@ -354,6 +356,14 @@ def test_point_checks_refuse_a_point_where_c_vanishes_or_is_undefined(name, c, r
         spec = spec_from_dict({"n": 3, "C": c, "f0": "0", "f": ["0", "0"]})
     with pytest.raises(DegeneratePointError, match="C vanishes or is undefined"):
         _POINT_CHECKS[name](spec, spec.chart().origin())
+
+
+def test_sampler_follows_the_c_rule():
+    # every rational point has C = 1e-10, below RANK_TOL, so no point can be
+    # sampled that the float-point checks would accept
+    spec = spec_from_dict({"n": 3, "C": "1/10000000000", "f0": "0", "f": ["0", "0"]})
+    with pytest.raises(DegeneratePointError, match=r"\|C\| >= RANK_TOL"):
+        seeded_points(spec, 3)
 
 
 def test_vertical_direction_not_in_partial_uw():

@@ -213,7 +213,7 @@ INIT3_SEQ = [0, 0.3, 0.1, -0.2, 0.5, 0.7, 0.4, -0.3]
 
 
 def test_constant_c_is_compared_exactly_at_the_initial_point():
-    # exactly 1e-8 lies below the double nearest 1e-8, which is c_min
+    # exactly 1e-8 lies below the double nearest 1e-8, which is C_MIN
     spec = spec_from_dict({"n": 3, "C": "1/100000000", "f0": "0", "f": ["0", "0"]})
     with pytest.raises(SingularArcError) as err:
         integrate(spec, INIT3_SEQ, 0.0, 1.0, 0.1)
