@@ -371,9 +371,25 @@ class Geometry:
                 vals = np.column_stack([self.eval_field(f, point) for f in fields])
             except OverflowError:
                 vals = None
-        if vals is None or not np.isfinite(vals).all():
-            raise ExprEvalError("a field value overflows at the requested point")
-        return vals
+        return _finite(vals)
+
+
+def _finite(vals):
+    """`vals` when every value is finite; `ExprEvalError` when one overflowed
+    to inf or nan, or the evaluation raised and left None."""
+    if vals is None or not np.isfinite(vals).all():
+        raise ExprEvalError("a field value overflows at the requested point")
+    return vals
+
+
+def _float_values(elements, fpoint):
+    """The float values of ring elements at a float point; an overflow
+    raises `ExprEvalError`, as in `Geometry.eval_fields`."""
+    try:
+        vals = [float(e.evaluate(fpoint)) for e in elements]
+    except OverflowError:
+        vals = None
+    return _finite(vals)
 
 
 def geometry(spec):
@@ -696,9 +712,7 @@ def skew_complement_W(spec, point, r, s):
     nondeg = _nrank(gram) == size
     # X coordinates in the E-perp basis are read off the normalized data
     xi = np.zeros(size)
-    for p in range(1, geo.m + 1):
-        xi[p - 1] = float(geo.f_hat[p - 1].evaluate(fpoint))
-    xi[geo.m] = float(geo.f0_hat.evaluate(fpoint))
+    xi[: geo.m + 1] = _float_values([*geo.f_hat, geo.f0_hat], fpoint)
     xi[geo.m + 1] = 1.0
     functional = xi @ gram
     kernel = _nullspace_numeric(functional.reshape(1, -1))
@@ -864,7 +878,7 @@ def adapted_frame_check(spec, point):
     least-squares residual over all pairs is reported.
     """
     geo, fpoint = _float_point(spec, point)
-    tau_vals = [abs(float(t.evaluate(fpoint))) for t in contact_torsion(spec).tau_ring]
+    tau_vals = [abs(v) for v in _float_values(contact_torsion(spec).tau_ring, fpoint)]
     if max(tau_vals, default=0.0) > RANK_TOL:
         raise TorsionPreconditionError(
             "adapted frame is defined only where the contact torsion vanishes"
@@ -898,7 +912,7 @@ def torsion_obstruction_values(spec, point):
     brackets at the point.
     """
     _, fpoint = _float_point(spec, point)
-    return [float(t.evaluate(fpoint)) for t in contact_torsion(spec).bracket_tau]
+    return _float_values(contact_torsion(spec).bracket_tau, fpoint)
 
 
 # --- random spec population --------------------------------------------------------

@@ -16,6 +16,7 @@ answer the same ring interface (`is_zero`, `variables`, `diff`, `evaluate`);
 the engine maps the polynomial frame to trees for non-polynomial specs.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,17 +256,27 @@ class TwoForm(_Components):
         return OneForm(out)
 
     def gram(self, chart, fields, point):
-        """Matrix of pairings of the form on a list of fields at a point."""
+        """Matrix of pairings of the form on a list of fields at a point.
+
+        A component (a, b) adds c X_r^a X_s^b at (r, s) and subtracts it at
+        (s, r), so only the fields nonzero at a and at b are visited, and a
+        component with none on either side is not evaluated."""
         vals = [f.evaluate(chart, point) for f in fields]
         idx = {nm: i for i, nm in enumerate(chart.names)}
         size = len(fields)
         out = [[0] * size for _ in range(size)]
         for (a, b), comp in self.components.items():
-            cval = comp.evaluate(point)
             ia, ib = idx[a], idx[b]
-            for r in range(size):
-                for c in range(size):
-                    out[r][c] += cval * (vals[r][ia] * vals[c][ib] - vals[r][ib] * vals[c][ia])
+            at_a = [(r, v[ia]) for r, v in enumerate(vals) if v[ia]]
+            at_b = [(c, v[ib]) for c, v in enumerate(vals) if v[ib]]
+            if not (at_a and at_b):
+                continue
+            cval = comp.evaluate(point)
+            for r, va in at_a:
+                for c, vb in at_b:
+                    term = cval * va * vb
+                    out[r][c] += term
+                    out[c][r] -= term
         return out
 
     def __repr__(self):
@@ -288,33 +299,40 @@ def wedge(a, b):
     return TwoForm(out)
 
 
-def eval_wedge_of_two_forms(gram_matrices, size):
-    """Evaluate Omega_1 ^ ... ^ Omega_m on vectors v_1..v_{2m}.
+def eval_wedge_of_two_forms(forms, counts, size):
+    """Evaluate forms[0]^counts[0] ^ forms[1]^counts[1] ^ ... on vectors
+    v_1..v_size, size twice the number of factors; each form is given by its
+    Gram matrix Omega(v_i, v_j).
 
-    Each gram matrix holds Omega_k(v_i, v_j); the result sums over ordered
-    partitions of the vector indices into one pair per form, with sign.
+    The wedge of m two-forms on 2m vectors is the sum, over the perfect
+    matchings of the vectors and the ways to give each of the m factors its
+    own pair (i < j), of the matching's sign times the product of the
+    factors' values on their pairs.  The pairs are taken from the lowest
+    unused vector, partnered through the nonzero Gram entries, and a form is
+    chosen for each pair; a form left c times can fill it in c ways.  The
+    sum is memoized on the used vectors and the factors left.
     """
-    m = len(gram_matrices)
-    assert size == 2 * m
-    total = 0
+    assert size == 2 * sum(counts)
+    partners = [
+        [(j, t, g[i][j]) for j in range(i + 1, size) for t, g in enumerate(forms) if g[i][j]]
+        for i in range(size)
+    ]
 
-    def rec(remaining, k, sign_acc, prod):
-        nonlocal total
-        if k == m:
-            total += sign_acc * prod
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for pos, second in enumerate(rest):
-            others = rest[:pos] + rest[pos + 1:]
-            # sign of moving (first, second) to the front of `remaining`
-            sign = (-1) ** pos
-            val = gram_matrices[k][first][second]
-            if val:
-                rec(others, k + 1, sign_acc * sign, prod * val)
+    @functools.cache
+    def rec(used, left):
+        if used == (1 << size) - 1:
+            return 1
+        i = (~used & (used + 1)).bit_length() - 1  # lowest unused vector
+        total = 0
+        for j, t, val in partners[i]:
+            if left[t] and not used >> j & 1:
+                # the matching's sign: (-1)^(unused vectors between i and j)
+                between = bin(~used & ((1 << j) - (2 << i))).count("1")
+                rest = rec(used | 1 << i | 1 << j, left[:t] + (left[t] - 1,) + left[t + 1:])
+                total += (-1) ** between * left[t] * val * rest
+        return total
 
-    rec(tuple(range(size)), 0, 1, 1)
-    return total
+    return rec(0, tuple(counts))
 
 
 # --- the projectivized-contact-bundle frame --------------------------------
@@ -565,37 +583,39 @@ def _origin_grams(qk):
 def qk_psi_power_nonzero(n, k):
     """Whether Psi^{n-k} restricted to the multicontact bundle is nonzero.
 
-    Psi is the eta-determinant of the matrix of two-forms; the power is
-    evaluated on the full spanning set of fields at the chart origin.
+    Psi = sum over permutations alpha, beta of {1..k} of sgn alpha sgn beta
+    Omega_{alpha_1 beta_1} ^ ... ^ Omega_{alpha_k beta_k}, with Omega_ba =
+    Omega_ab.  Two-forms commute under ^, so Psi and its power are
+    polynomials in the Omega_ab (a <= b): equal monomials are grouped, and
+    each monomial of Psi^{n-k} is evaluated once as a true wedge on the
+    full spanning set of fields at the chart origin.
     """
     grams = _origin_grams(qk_forms(n, k))
-    grams.update({(b, a): g for (a, b), g in grams.items()})
-    size = 2 * k * (n - k)
-    perms = list(itertools.permutations(range(1, k + 1)))
 
     def sgn(perm):
-        s = 1
-        p = list(perm)
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    s = -s
-        return s
+        return (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
 
-    # Psi as a sum of wedge products of k two-forms, then expand the power
-    psi_terms = []
+    def times(f, g):
+        # monomials are sorted tuples of Omega keys
+        out = {}
+        for mf, cf in f.items():
+            for mg, cg in g.items():
+                mono = tuple(sorted(mf + mg))
+                out[mono] = out.get(mono, 0) + cf * cg
+        return {mono: c for mono, c in out.items() if c}
+
+    perms = list(itertools.permutations(range(1, k + 1)))
+    psi = {}
     for alphas in perms:
         for betas in perms:
-            coeff = sgn(alphas) * sgn(betas)
-            psi_terms.append((coeff, [grams[(alphas[r], betas[r])] for r in range(k)]))
-    total = 0
-    for combo in itertools.product(psi_terms, repeat=n - k):
-        coeff = 1
-        stack = []
-        for c, factors in combo:
-            coeff *= c
-            stack.extend(factors)
-        total += coeff * eval_wedge_of_two_forms(stack, size)
+            mono = tuple(sorted((min(a, b), max(a, b)) for a, b in zip(alphas, betas)))
+            psi[mono] = psi.get(mono, 0) + sgn(alphas) * sgn(betas)
+    power = {(): 1}
+    for _ in range(n - k):
+        power = times(power, psi)
+    forms, size = list(grams.values()), 2 * k * (n - k)
+    total = sum(c * eval_wedge_of_two_forms(forms, [mono.count(key) for key in grams], size)
+                for mono, c in power.items())
     return total != 0
 
 

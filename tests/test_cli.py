@@ -451,7 +451,9 @@ def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
 # every crossed set in both formats; recorded while brackets still expanded
 # a dense commutator against every basis element, so the sparse expansion
 # must reproduce every printed byte.  `homology` at n = 8 was recorded while
-# its housing weights were still read off the sp(n) basis matrices.
+# its housing weights were still read off the sp(n) basis matrices, and
+# `flat-check` at n = 8 while the Psi power was still expanded into every
+# ordered product of Grams and the Grams summed densely.
 EXACT_HALF_ARGV = {
     "flat-check": lambda n: [["flat-check", "--n", str(n)]],
     "brackets": lambda n: [
@@ -469,6 +471,7 @@ GOLDEN_EXACT_HALF = {
     ("flat-check", 5): "c4a0e9fa913067ea6737923848ac9e5ccb3292b642bcb45869058aa1e6e2fcd9",
     ("flat-check", 6): "5c5ff75fcd56407153ba0f49c7a75ceee03182975274744d1324239779c82271",
     ("flat-check", 7): "f958b318b23e926cda2e52121e4dc49ccfe92b072f67050f24380203755bfbff",
+    ("flat-check", 8): "07b21d54d5930098d1f53cbf3f712d72c63cdb3b42add150e778cd59e79f8afb",
     ("brackets", 3): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
     ("brackets", 4): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",
     ("brackets", 5): "e6cfc17bda6f212e1d8b7aa5a8406900977020faf9e710b417bbd26502075ac9",

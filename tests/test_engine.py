@@ -36,6 +36,7 @@ from contactpath.engine import (
 )
 from contactpath.errors import (
     DegeneratePointError,
+    ExprEvalError,
     SpecFormatError,
     TorsionPreconditionError,
 )
@@ -356,6 +357,26 @@ def test_point_checks_refuse_a_point_where_c_vanishes_or_is_undefined(name, c, r
         spec = spec_from_dict({"n": 3, "C": c, "f0": "0", "f": ["0", "0"]})
     with pytest.raises(DegeneratePointError, match="C vanishes or is undefined"):
         _POINT_CHECKS[name](spec, spec.chart().origin())
+
+
+# (check, spec, u1): f0 or the torsion overflows a float at the point, so
+# the check refuses it as `eval_fields` does, not with a bare OverflowError
+_OVERFLOWING = [
+    ("skew_complement_W", {"n": 3, "f0": "sin(x1)*u1^200", "f": ["0", "0"]}, 1000),
+    ("torsion_obstruction_values", {"n": 3, "f0": "sin(x1)*u1^200", "f": ["0", "0"]}, 1000),
+    ("adapted_frame_check", {"n": 3, "f0": "sin(x1)*u1^5", "f": ["0", "0"]}, 10 ** 80),
+]
+
+
+@pytest.mark.parametrize(("name", "data", "u1"), _OVERFLOWING, ids=[c[0] for c in _OVERFLOWING])
+def test_point_checks_refuse_a_point_where_a_value_overflows(name, data, u1):
+    spec = spec_from_dict(data)
+    if name == "adapted_frame_check":
+        spec = torsion_free_representative(spec)
+    point = spec.chart().origin()
+    point["u1"] = Fraction(u1)
+    with pytest.raises(ExprEvalError, match="overflows at the requested point"):
+        _POINT_CHECKS[name](spec, point)
 
 
 def test_sampler_follows_the_c_rule():
