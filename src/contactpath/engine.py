@@ -27,15 +27,17 @@ tolerance, RANK_TOL = 1e-9, scaled by the data where they say so; only
 `secondary_torsion`'s guard against leaking out of E-perp uses its own
 relative 1e-6.  No call takes a tolerance.  `torsion_point_reduction` is
 exact at rational points of a polynomial spec.  At float points a
-polynomial geometry evaluates its fields through monomial tables, built once
-per geometry on first use (`Geometry.eval_fields`); other geometries walk
-their trees.  A spec's Geometry is built on first use and kept on the spec
-itself, together with its contact torsion reports, so it lives exactly as
-long as the spec.
+polynomial geometry evaluates each field list through one monomial table,
+built on the list's first use (`Geometry.eval_fields`); other geometries
+walk their trees.  A spec's Geometry is built on first use and kept on the
+spec itself, so it lives exactly as long as the spec; every object derived
+from the spec (generating fields, brackets, the field list of each check,
+the contact torsion report at the default seed) is a cached attribute of
+the Geometry, built once on first use.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from random import Random
@@ -196,7 +198,21 @@ def flat_spec(n):
 # --- normalized data and cached geometry -------------------------------------
 
 class Geometry:
-    """Per-spec cache of frame fields, normalized data, and brackets."""
+    """Frame fields, normalized data and every derived object of one spec.
+
+    The constructor settles the ring and keeps the raw and normalized data,
+    the frame, the coframe and the lists `a_fields` (A_1..A_m) and
+    `e_fields` (E_1..E_m).  Every derived object is a cached attribute,
+    built on first use: the generating fields `x_hat` and `x_raw`; the
+    bracket lists `ai_xhat` ([A_i, X]), `double_brackets` ([[A_i, X], X]),
+    `torsion_brackets` (the part of it the coframe reads) and
+    `secondary_brackets` ([X, [X, A_i]]); the form `nu`; the contact
+    torsion report `torsion` at the default seed; the constant
+    `dtheta_entries` behind `dbeta_matrix`; and the field list each
+    pointwise check evaluates (`filtration`, `semiregular_levels`,
+    `escape_fields`, `e_perp`, `partial_uw`, `secondary_fields`,
+    `characteristic_fields`, `reduction_fields`, `adapted_frame`).
+    """
 
     def __init__(self, spec):
         self.spec = spec
@@ -236,110 +252,176 @@ class Geometry:
             self.frame = {k: v.map(ex.poly_to_expr) for k, v in self.frame.items()}
             self.coframe = {k: v.map(ex.poly_to_expr) for k, v in self.coframe.items()}
         self.f0_hat, *self.f_hat = hat
-        self._cache = {}
+        self.a_fields = [self.frame[f"A{i}"] for i in range(1, self.m + 1)]
+        self.e_fields = [self.frame[f"E{i}"] for i in range(1, self.m + 1)]
+        # (field list, its monomial table) by the list's id; see eval_fields
+        self._tables = {}
 
-    def _generating(self, key, c, f0, f):
-        """c T(-1,0) + f0 T(0,-2) + f^p A_p, built once and kept under `key`."""
-        if key not in self._cache:
-            t = self.frame["T(-1,0)"]  # a scale by 1 would only redo its arithmetic
-            x = (t if c == 1 else t.scale(c)) + self.frame["T(0,-2)"].scale(f0)
-            for p in range(1, self.m + 1):
-                x = x + self.frame[f"A{p}"].scale(f[p - 1])
-            self._cache[key] = x
-        return self._cache[key]
+    def _generating(self, c, f0, f):
+        """c T(-1,0) + f0 T(0,-2) + f^p A_p."""
+        t = self.frame["T(-1,0)"]  # a scale by 1 would only redo its arithmetic
+        x = (t if c == 1 else t.scale(c)) + self.frame["T(0,-2)"].scale(f0)
+        for a, fp in zip(self.a_fields, f):
+            x = x + a.scale(fp)
+        return x
 
+    @cached_property
     def x_hat(self):
         """The normalized generating field, whose C is 1."""
-        return self._generating("x_hat", 1, self.f0_hat, self.f_hat)
+        return self._generating(1, self.f0_hat, self.f_hat)
 
+    @cached_property
     def x_raw(self):
         c, f0, *f = self.raw
-        return self._generating("x_raw", c, f0, f)
+        return self._generating(c, f0, f)
 
-    def a_field(self, i):
-        return self.frame[f"A{i}"]
+    @cached_property
+    def ai_xhat(self):
+        """[A_i, X] for the normalized field, i = 1..m."""
+        return [fm.lie_bracket(a, self.x_hat) for a in self.a_fields]
 
-    def ai_xhat(self, i):
-        key = ("ai_x", i)
-        if key not in self._cache:
-            self._cache[key] = fm.lie_bracket(self.a_field(i), self.x_hat())
-        return self._cache[key]
-
-    def double_bracket(self, i):
+    @cached_property
+    def double_brackets(self):
         """[[A_i, X], X] for the normalized field, every component."""
-        key = ("aixx", i)
-        if key not in self._cache:
-            self._cache[key] = fm.lie_bracket(self.ai_xhat(i), self.x_hat())
-        return self._cache[key]
+        return [fm.lie_bracket(b, self.x_hat) for b in self.ai_xhat]
 
-    def torsion_bracket(self, i):
+    @cached_property
+    def torsion_brackets(self):
         """[[A_i, X], X] restricted to the coordinates where theta(-1,-2)
         and theta(-2,-2) have components (t, x0, the x_q and z): their
-        pairings with it equal their pairings with `double_bracket(i)`, and
+        pairings with it equal their pairings with `double_brackets`, and
         the u components, most of its polynomial work, are never built."""
-        key = ("aixx-theta", i)
-        if key not in self._cache:
-            coords = (self.coframe["theta(-1,-2)"].components.keys()
-                      | self.coframe["theta(-2,-2)"].components.keys())
-            self._cache[key] = fm.lie_bracket(self.ai_xhat(i), self.x_hat(), coords)
-        return self._cache[key]
+        coords = (self.coframe["theta(-1,-2)"].components.keys()
+                  | self.coframe["theta(-2,-2)"].components.keys())
+        return [fm.lie_bracket(b, self.x_hat, coords) for b in self.ai_xhat]
 
-    def secondary_bracket(self, i):
+    @cached_property
+    def secondary_brackets(self):
         """[X, [X, A_i]] for the normalized field."""
-        key = ("xxa", i)
-        if key not in self._cache:
-            inner = fm.lie_bracket(self.x_hat(), self.a_field(i))
-            self._cache[key] = fm.lie_bracket(self.x_hat(), inner)
-        return self._cache[key]
+        return [fm.lie_bracket(self.x_hat, fm.lie_bracket(self.x_hat, a)) for a in self.a_fields]
+
+    @cached_property
+    def torsion(self):
+        """The contact torsion report at the default seed 42."""
+        return _torsion_report(self, 42)
 
     def filtration_fields(self):
-        """Symbolic spanning fields for every filtration subbundle, cached."""
-        if "filtration" not in self._cache:
-            m = self.m
-            A = [self.a_field(i) for i in range(1, m + 1)]
-            T02 = self.frame["T(0,-2)"]
-            Tm10 = self.frame["T(-1,0)"]
-            E = [self.frame[f"E{i}"] for i in range(1, m + 1)]
-            e_gens = A + [T02, self.x_hat()]
-            partial_e, partial2_e = _bracket_levels(e_gens, 2)
-            self._cache["filtration"] = {
-                "u": A,
-                "v": A + [T02],
-                "e": e_gens,
-                "partial_uw": _partial_uw_fields(self),
-                "e_perp": _eperp_fields(self),
-                "h": A + [T02, Tm10, self.frame["T(-1,-2)"]] + E,
-                "partial_e": partial_e,
-                "partial2_e": partial2_e,
-            }
-        return self._cache["filtration"]
+        """Symbolic spanning fields for every filtration subbundle, built
+        on each call; the cached `filtration` keeps them."""
+        e_gens = self.a_fields + [self.frame["T(0,-2)"], self.x_hat]
+        partial_e, partial2_e = _bracket_levels(e_gens, 2)
+        return {
+            "u": self.a_fields,
+            "v": self.a_fields + [self.frame["T(0,-2)"]],
+            "e": e_gens,
+            "partial_uw": self.partial_uw,
+            "e_perp": self.e_perp,
+            "h": (self.a_fields + [self.frame[k] for k in ("T(0,-2)", "T(-1,0)", "T(-1,-2)")]
+                  + self.e_fields),
+            "partial_e": partial_e,
+            "partial2_e": partial2_e,
+        }
 
-    def nu_form(self):
+    @cached_property
+    def filtration(self):
+        """(the filtration_fields dict, all its fields as one list)."""
+        spans = self.filtration_fields()
+        return spans, [f for flist in spans.values() for f in flist]
+
+    @cached_property
+    def semiregular_levels(self):
+        """The iterated bracket spans of U + W, each extending the last."""
+        return _bracket_levels(self.a_fields + [self.x_hat], 3)
+
+    @cached_property
+    def partial_uw(self):
+        """A_i, X and [A_i, X]: the bracket closure of U and the generating line."""
+        return self.a_fields + [self.x_hat] + self.ai_xhat
+
+    @cached_property
+    def escape_fields(self):
+        return self.partial_uw + [self.frame["T(0,-2)"]]
+
+    @cached_property
+    def e_perp(self):
+        return self.a_fields + [self.frame["T(0,-2)"], self.frame["T(-1,0)"]] + self.e_fields
+
+    @cached_property
+    def secondary_fields(self):
+        """`partial_uw`, T(0,-2), T(-1,-2), T(-2,-2), then `secondary_brackets`."""
+        tangent = [self.frame[k] for k in ("T(0,-2)", "T(-1,-2)", "T(-2,-2)")]
+        return self.partial_uw + tangent + self.secondary_brackets
+
+    @cached_property
+    def nu(self):
         """i(X) d(i(X) d theta(-1,-2)), the characteristic-system functional."""
-        if "nu" not in self._cache:
-            x_hat = self.x_hat()
-            mu = self.coframe["theta(-1,-2)"].d().interior(x_hat)
-            self._cache["nu"] = mu.d().interior(x_hat)
-        return self._cache["nu"]
+        mu = self.coframe["theta(-1,-2)"].d().interior(self.x_hat)
+        return mu.d().interior(self.x_hat)
+
+    @cached_property
+    def characteristic_fields(self):
+        return [self.nu] + self.partial_uw
+
+    @cached_property
+    def reduction_fields(self):
+        """A_j, T(0,-2), X, E_j (the reduction span), T(-1,-2), T(-2,-2), then
+        `double_brackets`."""
+        return (self.a_fields + [self.frame["T(0,-2)"], self.x_hat] + self.e_fields
+                + [self.frame["T(-1,-2)"], self.frame["T(-2,-2)"]] + self.double_brackets)
+
+    @cached_property
+    def adapted_frame(self):
+        """Adapted graded frame, pairwise bracket fields with their model
+        constants, the frame and bracket fields as one list, and per
+        filtration level the positions in that list of the frame fields
+        spanning it."""
+        algebra = GradedLieAlgebra(self.n, "P12", self.omega)
+        # the adapted graded frame of a (pointwise) torsion-free spec
+        u_fields = {"t(-1,0)": self.x_hat}
+        f_low = self.lower(self.f_hat)
+        for i, (a, e) in enumerate(zip(self.a_fields, self.e_fields), start=1):
+            u_fields[f"a{i}"] = a
+            u_fields[f"e{i}"] = e - self.frame["T(0,-2)"].scale(f_low[i - 1])
+        for name in ("t(0,-2)", "t(-1,-2)", "t(-2,-2)"):
+            u_fields[name] = self.frame[name.upper()]
+        names = list(u_fields)
+        bidegree = {nm: algebra.basis[algebra.index[nm]].bidegree for nm in names}
+        z_of = {nm: algebra.z_degree(b) for nm, b in bidegree.items()}
+        pairs = []
+        for i, na in enumerate(names):
+            for nb in names[i + 1:]:
+                level = z_of[na] + z_of[nb]
+                if level < -4:
+                    continue
+                bracket_field = fm.lie_bracket(u_fields[na], u_fields[nb])
+                constants = algebra.bracket_names(na, nb)
+                pairs.append((na, nb, level, bracket_field, constants))
+        fields = list(u_fields.values()) + [pair[3] for pair in pairs]
+        col = {nm: j for j, nm in enumerate(names)}
+        # a level's span lists its fields by Z-degree, then by bidegree; the
+        # column order fixes the least-squares residuals to the last bit
+        order = sorted(names, key=lambda nm: (z_of[nm], bidegree[nm]), reverse=True)
+        levels = {k: [col[nm] for nm in order if z_of[nm] >= k] for k in (-1, -2, -3)}
+        return u_fields, pairs, fields, levels
+
+    @cached_property
+    def dtheta_entries(self):
+        """(row, col, value) of the constant components of d theta(-2,-2)
+        and of d theta(-1,-2), in chart indices."""
+        idx = {nm: i for i, nm in enumerate(self.chart.names)}
+        # d of a coframe form has constant components in either ring
+        return [[(idx[a], idx[b], float(comp.evaluate({})))
+                 for (a, b), comp in self.coframe[key].d().components.items()]
+                for key in ("theta(-2,-2)", "theta(-1,-2)")]
 
     def dbeta_matrix(self, r, s):
         """Coordinate matrix of d(r theta(-2,-2) + s theta(-1,-2)); constant."""
-        key = ("dbeta", float(r), float(s))
-        if key not in self._cache:
-            dim = self.chart.dim
-            idx = {nm: i for i, nm in enumerate(self.chart.names)}
-            out = np.zeros((dim, dim))
-            for form, coef in (
-                (self.coframe["theta(-2,-2)"].d(), float(r)),
-                (self.coframe["theta(-1,-2)"].d(), float(s)),
-            ):
-                for (a, b), comp in form.components.items():
-                    # d of a coframe form has constant components in either ring
-                    val = float(comp.evaluate({}))
-                    out[idx[a], idx[b]] += coef * val
-                    out[idx[b], idx[a]] -= coef * val
-            self._cache[key] = out
-        return self._cache[key]
+        out = np.zeros((self.chart.dim, self.chart.dim))
+        for entries, coef in zip(self.dtheta_entries, (float(r), float(s))):
+            for a, b, val in entries:
+                out[a, b] += coef * val
+                out[b, a] -= coef * val
+        return out
 
     def lower(self, vec):
         """f_i = f^p omega_{pi}."""
@@ -353,19 +435,19 @@ class Geometry:
         vals = field.evaluate(self.chart, point)
         return np.array([float(v) for v in vals])
 
-    def eval_fields(self, key, fields, point):
+    def eval_fields(self, fields, point):
         """The (dim, k) matrix of the fields' (or one-forms') values at a
-        float point.  A polynomial geometry lowers `fields` to a monomial
-        table on the first call with `key` and reuses it for every later
-        point; each key must always name the same fields.  Other geometries
-        walk the trees with `eval_field`.  A value that overflows to inf or
-        nan raises `ExprEvalError`, as a pole does."""
+        float point.  A polynomial geometry lowers the list `fields` to a
+        monomial table on its first call and finds that table again by the
+        list's id, so the geometry's own cached lists each get one table for
+        every point; the table is kept with its list, so that id stays
+        taken.  Other geometries walk the trees with `eval_field`.  A value
+        that overflows to inf or nan raises `ExprEvalError`, as a pole does."""
         if self.polynomial:
-            table = self._cache.get(("table", key))
-            if table is None:
-                table = self._cache[("table", key)] = MonomialTable(self.chart.names, fields)
+            if id(fields) not in self._tables:
+                self._tables[id(fields)] = (fields, MonomialTable(self.chart.names, fields))
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = table(point)
+                vals = self._tables[id(fields)][1](point)
         else:
             try:
                 vals = np.column_stack([self.eval_field(f, point) for f in fields])
@@ -399,7 +481,7 @@ def geometry(spec):
 
 def generating_field(spec):
     """X = C T(-1,0) + f0 T(0,-2) + f^p A_p in the flat-model frame."""
-    return geometry(spec).x_raw()
+    return geometry(spec).x_raw
 
 
 # --- contact torsion ----------------------------------------------------------
@@ -463,36 +545,26 @@ def contact_torsion(spec, seed=42):
     are recomputed as the theta(-1,-2) pairing of [[A_i, X], X] and the two
     routes must agree identically, while the theta(-2,-2) pairing must
     vanish.  The bracket route builds only the components those two forms
-    read (`Geometry.torsion_bracket`).  The report is built once per
-    geometry and seed.
+    read (`Geometry.torsion_brackets`).  The report at the default seed is
+    built once per geometry (`Geometry.torsion`).
     """
     geo = geometry(spec)
-    key = ("torsion", seed)
-    if key in geo._cache:
-        return geo._cache[key]
+    return geo.torsion if seed == 42 else _torsion_report(geo, seed)
+
+
+def _torsion_report(geo, seed):
     f_low = geo.lower(geo.f_hat)
-    tau = []
-    for i in range(1, geo.m + 1):
-        tau.append(3 * f_low[i - 1] + geo.a_field(i).apply(geo.f0_hat))
-    bracket_tau = []
-    th = geo.coframe["theta(-1,-2)"]
-    th_contact = geo.coframe["theta(-2,-2)"]
-    for i in range(1, geo.m + 1):
-        b = geo.torsion_bracket(i)
-        bracket_tau.append(th.pair(b))
-        contact_part = th_contact.pair(b)
-        if geo.polynomial and not contact_part.is_zero():
-            raise DegeneratePointError("double bracket escaped the contact hyperplane")
+    tau = [3 * fl + a.apply(geo.f0_hat) for fl, a in zip(f_low, geo.a_fields)]
+    bracket_tau = [geo.coframe["theta(-1,-2)"].pair(b) for b in geo.torsion_brackets]
     if geo.polynomial:
-        for a, b in zip(tau, bracket_tau):
-            if not (a - b).is_zero():
-                raise TorsionPreconditionError(
-                    "closed-form and bracket torsion disagree; check omega conventions"
-                )
-    is_zero, witness = _decide_zero(spec, tau, geo, seed)
+        if any(not geo.coframe["theta(-2,-2)"].pair(b).is_zero() for b in geo.torsion_brackets):
+            raise DegeneratePointError("double bracket escaped the contact hyperplane")
+        if any(not (a - b).is_zero() for a, b in zip(tau, bracket_tau)):
+            raise TorsionPreconditionError(
+                "closed-form and bracket torsion disagree; check omega conventions")
+    is_zero, witness = _decide_zero(geo.spec, tau, geo, seed)
     tau_exprs = tuple(geo.as_expr(t) for t in tau)
-    geo._cache[key] = TorsionReport(tau_exprs, is_zero, witness, tuple(tau), tuple(bracket_tau))
-    return geo._cache[key]
+    return TorsionReport(tau_exprs, is_zero, witness, tuple(tau), tuple(bracket_tau))
 
 
 def _decide_zero(spec, tau, geo, seed):
@@ -525,37 +597,30 @@ def torsion_point_reduction(spec, point):
     span{A_j, T(0,-2), X, E_j} and read the T(-1,-2) coefficient."""
     geo, _ = _float_point(spec, point)
     exact = geo.polynomial and all(isinstance(v, (int, Fraction)) for v in point.values())
-    span_fields = (
-        [geo.a_field(j) for j in range(1, geo.m + 1)]
-        + [geo.frame["T(0,-2)"], geo.x_hat()]
-        + [geo.frame[f"E{j}"] for j in range(1, geo.m + 1)]
-    )
-    tail = [geo.frame["T(-1,-2)"], geo.frame["T(-2,-2)"]]
+    fields = geo.reduction_fields
+    span = 2 * geo.m + 2
     if exact:
-        cols = [f.evaluate(geo.chart, point) for f in span_fields + tail]
+        cols = [f.evaluate(geo.chart, point) for f in fields[:-geo.m]]
         mat = [list(col) for col in zip(*cols)]
-        if exact_rank([row[: len(span_fields)] for row in mat]) != 4 * geo.n - 6:
+        if exact_rank([row[:span] for row in mat]) != 4 * geo.n - 6:
             raise DegeneratePointError("reduction span lost rank (C vanishes here?)")
         out = []
-        for i in range(1, geo.m + 1):
-            b = geo.double_bracket(i).evaluate(geo.chart, point)
-            coeffs = exact_solve(mat, list(b))
+        for b in geo.double_brackets:
+            coeffs = exact_solve(mat, list(b.evaluate(geo.chart, point)))
             if coeffs is None:
                 raise DegeneratePointError("double bracket not in the tangent span")
-            out.append(coeffs[len(span_fields)])
+            out.append(coeffs[span])
         return out
-    brackets = [geo.double_bracket(i) for i in range(1, geo.m + 1)]
     # `point`, not its float copy: a tree walk keeps rational arithmetic
     # where it can, which fixes the last bits of the result
-    vals = geo.eval_fields("reduction", span_fields + tail + brackets, point)
-    width = len(span_fields) + len(tail)
-    mat = vals[:, :width]
-    if _nrank(mat[:, : len(span_fields)]) != 4 * geo.n - 6:
+    vals = geo.eval_fields(fields, point)
+    mat = vals[:, :-geo.m]
+    if _nrank(mat[:, :span]) != 4 * geo.n - 6:
         raise DegeneratePointError("reduction span lost rank (C vanishes here?)")
     out = []
     for i in range(geo.m):
-        coeffs, *_ = np.linalg.lstsq(mat, vals[:, width + i], rcond=None)
-        out.append(float(coeffs[len(span_fields)]))
+        coeffs, *_ = np.linalg.lstsq(mat, vals[:, span + 2 + i], rcond=None)
+        out.append(float(coeffs[span]))
     return out
 
 
@@ -587,16 +652,7 @@ class RankTable:
     partial2_e: int
 
     def as_tuple(self):
-        return (
-            self.u,
-            self.v,
-            self.e,
-            self.partial_uw,
-            self.e_perp,
-            self.h,
-            self.partial_e,
-            self.partial2_e,
-        )
+        return astuple(self)
 
     @staticmethod
     def expected(n):
@@ -647,8 +703,8 @@ def _nrank(mat):
 def filtration_ranks(spec, point):
     """Numeric ranks at a point of the canonical filtration subbundles."""
     geo, fpoint = _float_point(spec, point)
-    fields = geo.filtration_fields()
-    vals = geo.eval_fields("filtration", [f for flist in fields.values() for f in flist], fpoint)
+    fields, flat = geo.filtration
+    vals = geo.eval_fields(flat, fpoint)
     ranks = {}
     start = 0
     for key, flist in fields.items():
@@ -664,19 +720,15 @@ def semiregular_ranks(spec, point):
     expected (4n-6, 4n-5, 4n-4), i.e. the next three filtration levels.
     """
     geo, fpoint = _float_point(spec, point)
-    key = "semiregular"
-    if key not in geo._cache:
-        gens = [geo.a_field(i) for i in range(1, geo.m + 1)] + [geo.x_hat()]
-        geo._cache[key] = _bracket_levels(gens, 3)
-    spans = geo._cache[key]
-    vals = geo.eval_fields(key, spans[-1], fpoint)
+    spans = geo.semiregular_levels
+    vals = geo.eval_fields(spans[-1], fpoint)
     return tuple(_nrank(vals[:, :len(span)]) for span in spans)
 
 
 def vertical_escape(spec, point):
     """True when T(0,-2) is not contained in the span of A_i, X, [A_i, X]."""
     geo, fpoint = _float_point(spec, point)
-    vals = geo.eval_fields("escape", _partial_uw_fields(geo) + [geo.frame["T(0,-2)"]], fpoint)
+    vals = geo.eval_fields(geo.escape_fields, fpoint)
     return _nrank(vals) == _nrank(vals[:, :-1]) + 1
 
 
@@ -690,14 +742,6 @@ class SkewComplementReport:
     u_complement_is_e: bool
 
 
-def _eperp_fields(geo):
-    return (
-        [geo.a_field(i) for i in range(1, geo.m + 1)]
-        + [geo.frame["T(0,-2)"], geo.frame["T(-1,0)"]]
-        + [geo.frame[f"E{i}"] for i in range(1, geo.m + 1)]
-    )
-
-
 def skew_complement_W(spec, point, r, s):
     """Skew complement of the generating line in E-perp for d(beta), beta the
     filtered frame r theta(-2,-2) + s theta(-1,-2)."""
@@ -705,10 +749,9 @@ def skew_complement_W(spec, point, r, s):
         raise SpecFormatError("filtered frame requires s != 0")
     geo, fpoint = _float_point(spec, point)
     dbeta_mat = geo.dbeta_matrix(r, s)
-    fields = _eperp_fields(geo)
-    field_mat = geo.eval_fields("e_perp", fields, fpoint)
+    field_mat = geo.eval_fields(geo.e_perp, fpoint)
     gram = field_mat.T @ dbeta_mat @ field_mat
-    size = len(fields)
+    size = len(geo.e_perp)
     nondeg = _nrank(gram) == size
     # X coordinates in the E-perp basis are read off the normalized data
     xi = np.zeros(size)
@@ -741,19 +784,10 @@ def _same_span(a, b):
     return _nrank(a) == _nrank(b) == _nrank(np.hstack([a, b]))
 
 
-def _partial_uw_fields(geo):
-    """A_i, X and [A_i, X]: the bracket closure of U and the generating line."""
-    return (
-        [geo.a_field(i) for i in range(1, geo.m + 1)]
-        + [geo.x_hat()]
-        + [geo.ai_xhat(i) for i in range(1, geo.m + 1)]
-    )
-
-
 def partial_uw_vectors(spec, point):
     """Chart vectors spanning the bracket closure of U and the generating line."""
     geo, fpoint = _float_point(spec, point)
-    return list(geo.eval_fields("partial_uw", _partial_uw_fields(geo), fpoint).T)
+    return list(geo.eval_fields(geo.partial_uw, fpoint).T)
 
 
 def spans_equal(vectors_a, vectors_b):
@@ -783,16 +817,14 @@ def secondary_torsion(spec, point):
     invariant; the numeric vector is chart-normalized.
     """
     geo, fpoint = _torsion_free_point(spec, point)
-    cols = _partial_uw_fields(geo) + [geo.frame[k] for k in ("T(0,-2)", "T(-1,-2)", "T(-2,-2)")]
-    brackets = [geo.secondary_bracket(i) for i in range(1, geo.m + 1)]
-    vals = geo.eval_fields("secondary", cols + brackets, fpoint)
-    mat = vals[:, :len(cols)]
+    vals = geo.eval_fields(geo.secondary_fields, fpoint)
+    mat = vals[:, :-geo.m]
     if _nrank(mat) != 4 * geo.n - 4:
         raise DegeneratePointError("tangent basis lost rank at the point")
     out = []
     scale = max(1.0, float(np.max(np.abs(mat))))
     for i in range(geo.m):
-        b = vals[:, len(cols) + i]
+        b = vals[:, -geo.m + i]
         coeffs = np.linalg.solve(mat, b)
         leak = max(abs(coeffs[-2]), abs(coeffs[-1]))
         if leak > 1e-6 * scale * max(1.0, float(np.max(np.abs(b)))):
@@ -811,9 +843,10 @@ def characteristic_system_test(spec, point):
     Returns (contained, max_pairing).
     """
     geo, fpoint = _torsion_free_point(spec, point)
-    nu_vals = geo.eval_fields("nu", [geo.nu_form()], fpoint)[:, 0]
+    vals = geo.eval_fields(geo.characteristic_fields, fpoint)
+    nu_vals = vals[:, 0]
     worst = 0.0
-    for v in geo.eval_fields("partial_uw", _partial_uw_fields(geo), fpoint).T:
+    for v in vals[:, 1:].T:
         worst = max(worst, abs(float(np.dot(nu_vals, v))))
     scale = max(1.0, float(np.max(np.abs(nu_vals))))
     return worst <= RANK_TOL * scale * 10, worst
@@ -825,49 +858,6 @@ def characteristic_system_test(spec, point):
 class AdaptedFrameReport:
     max_residual: float
     residuals: dict
-
-
-def _u_frame(geo):
-    """The adapted graded frame for a (pointwise) torsion-free spec."""
-    fields = {"t(-1,0)": geo.x_hat()}
-    f_low = geo.lower(geo.f_hat)
-    for i in range(1, geo.m + 1):
-        fields[f"a{i}"] = geo.a_field(i)
-        fields[f"e{i}"] = geo.frame[f"E{i}"] - geo.frame["T(0,-2)"].scale(f_low[i - 1])
-    fields["t(0,-2)"] = geo.frame["T(0,-2)"]
-    fields["t(-1,-2)"] = geo.frame["T(-1,-2)"]
-    fields["t(-2,-2)"] = geo.frame["T(-2,-2)"]
-    return fields
-
-
-def _adapted_frame_data(geo):
-    """Per-spec cache: adapted frame, pairwise bracket fields, model constants,
-    the frame and bracket fields as one list, and per filtration level the
-    positions in that list of the frame fields spanning it."""
-    if "adapted" in geo._cache:
-        return geo._cache["adapted"]
-    algebra = GradedLieAlgebra(geo.n, "P12", geo.omega)
-    u_fields = _u_frame(geo)
-    names = list(u_fields)
-    bidegree = {nm: algebra.basis[algebra.index[nm]].bidegree for nm in names}
-    z_of = {nm: algebra.z_degree(b) for nm, b in bidegree.items()}
-    pairs = []
-    for i, na in enumerate(names):
-        for nb in names[i + 1:]:
-            level = z_of[na] + z_of[nb]
-            if level < -4:
-                continue
-            bracket_field = fm.lie_bracket(u_fields[na], u_fields[nb])
-            constants = algebra.bracket_names(na, nb)
-            pairs.append((na, nb, level, bracket_field, constants))
-    fields = list(u_fields.values()) + [pair[3] for pair in pairs]
-    col = {nm: j for j, nm in enumerate(names)}
-    # a level's span lists its fields by Z-degree, then by bidegree; the
-    # column order fixes the least-squares residuals to the last bit
-    order = sorted(names, key=lambda nm: (z_of[nm], bidegree[nm]), reverse=True)
-    levels = {k: [col[nm] for nm in order if z_of[nm] >= k] for k in (-1, -2, -3)}
-    geo._cache["adapted"] = (u_fields, pairs, fields, levels)
-    return geo._cache["adapted"]
 
 
 def adapted_frame_check(spec, point):
@@ -883,8 +873,8 @@ def adapted_frame_check(spec, point):
         raise TorsionPreconditionError(
             "adapted frame is defined only where the contact torsion vanishes"
         )
-    u_fields, pairs, fields, levels = _adapted_frame_data(geo)
-    vals = geo.eval_fields("adapted", fields, fpoint)
+    u_fields, pairs, fields, levels = geo.adapted_frame
+    vals = geo.eval_fields(fields, fpoint)
     col = {nm: j for j, nm in enumerate(u_fields)}
     # filtration spans at the point, by level
     spans = {level: vals[:, idx] for level, idx in levels.items()}

@@ -43,21 +43,8 @@ def standard_omega(m):
 @dataclass(frozen=True)
 class BasisElement:
     name: str
-    matrix: tuple  # tuple of row tuples, Fractions
+    entries: tuple  # nonzero (row, col, value) entries in row-major order, Fractions
     bidegree: tuple  # (i1, i2) eigenvalues of ad(E1), ad(E2)
-    entries: tuple = None  # sparse (row, col, value) view, filled on init
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(
-                (r, c, v)
-                for r, row in enumerate(self.matrix)
-                for c, v in enumerate(row)
-                if v
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -71,6 +58,12 @@ class G0Element:
 
 def _freeze(m):
     return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in m)
+
+
+def _element(name, entries, bidegree):
+    """A BasisElement from its {(row, col): value} entries."""
+    nonzero = tuple((r, c, Fraction(v)) for (r, c), v in sorted(entries.items()) if v)
+    return BasisElement(name, nonzero, bidegree)
 
 
 def _add(out, key, value):
@@ -144,91 +137,57 @@ class GradedLieAlgebra:
         return big
 
     def _build_basis(self):
-        n, m = self.n, self.m
-        d = 2 * n
-        basis = []
-
-        def mat():
-            return ela.zeros(d, d)
-
-        def add(name, mtx, bideg):
-            basis.append(BasisElement(name, _freeze(mtx), bideg))
-
-        for name, mtx, bideg in self._negative_part(self.omega):
-            add(name, mtx, bideg)
+        d = 2 * self.n
+        basis = [_element(name, entries, bideg)
+                 for name, entries, bideg in self._negative_part(self.omega)]
 
         # positive part: X is in sp(Omega) iff X^T is in sp(Omega^{-1}), the
         # form with middle block omega^{ij} up to an overall sign, and
         # transposition negates the bidegree; so the transposes of the
         # negative part built on omega^{ij} span p^+ (for the standard omega,
         # omega^{ij} = omega_{ij})
-        for name, mtx, bideg in self._negative_part(self.omega_upper):
+        for name, entries, bideg in self._negative_part(self.omega_upper):
             if name.startswith("t("):
                 pos = "t(" + ",".join(str(-int(x)) for x in name[2:-1].split(",")) + ")"
             else:
                 pos = name[0] + "*" + name[1:]
-            add(pos, ela.transpose(mtx), (-bideg[0], -bideg[1]))
+            transposed = {(c, r): v for (r, c), v in entries.items()}
+            basis.append(_element(pos, transposed, (-bideg[0], -bideg[1])))
 
         # g_{0,0}: two grading directions plus the middle sp(m) block
-        h = mat()
-        h[0][0] = Fraction(1)
-        h[d - 1][d - 1] = Fraction(-1)
-        add("h_c", h, (0, 0))
-        h = mat()
-        h[1][1] = Fraction(1)
-        h[d - 2][d - 2] = Fraction(-1)
-        add("h_d", h, (0, 0))
+        basis.append(_element("h_c", {(0, 0): 1, (d - 1, d - 1): -1}, (0, 0)))
+        basis.append(_element("h_d", {(1, 1): 1, (d - 2, d - 2): -1}, (0, 0)))
         for i, middle in enumerate(self._middle_sp_basis()):
-            full = mat()
-            for r in range(m):
-                for c in range(m):
-                    full[2 + r][2 + c] = middle[r][c]
-            add(f"s{i + 1}", full, (0, 0))
+            basis.append(_element(f"s{i + 1}", middle, (0, 0)))
         return basis
 
     def _negative_part(self, om):
-        """(name, matrix, bidegree) of g_-, read off its general element for
-        the middle form `om`."""
-        n, m = self.n, self.m
-        d = 2 * n
-        out = []
-
-        def mat():
-            return ela.zeros(d, d)
-
-        t = mat()
-        t[1][0] = Fraction(1)
-        t[d - 1][d - 2] = Fraction(-1)
-        out.append(("t(-1,0)", t, (-1, 0)))
+        """(name, {(row, col): value}, bidegree) of g_-, read off its general
+        element for the middle form `om`."""
+        m = self.m
+        d = 2 * self.n
+        out = [("t(-1,0)", {(1, 0): 1, (d - 1, d - 2): -1}, (-1, 0))]
         for p in range(1, m + 1):
-            a = mat()
-            a[1 + p][1] = Fraction(1)
-            for q in range(1, m + 1):
-                a[d - 2][1 + q] = -om[p - 1][q - 1]
+            a = {(d - 2, 1 + q): -om[p - 1][q - 1] for q in range(1, m + 1)}
+            a[(1 + p, 1)] = 1
             out.append((f"a{p}", a, (0, -1)))
-        t = mat()
-        t[d - 2][1] = Fraction(1)
-        out.append(("t(0,-2)", t, (0, -2)))
+        out.append(("t(0,-2)", {(d - 2, 1): 1}, (0, -2)))
         for p in range(1, m + 1):
-            e = mat()
-            e[1 + p][0] = Fraction(1)
-            for q in range(1, m + 1):
-                e[d - 1][1 + q] = -om[p - 1][q - 1]
+            e = {(d - 1, 1 + q): -om[p - 1][q - 1] for q in range(1, m + 1)}
+            e[(1 + p, 0)] = 1
             out.append((f"e{p}", e, (-1, -1)))
-        t = mat()
-        t[d - 2][0] = Fraction(1)
-        t[d - 1][1] = Fraction(1)
-        out.append(("t(-1,-2)", t, (-1, -2)))
-        t = mat()
-        t[d - 1][0] = Fraction(1)
-        out.append(("t(-2,-2)", t, (-2, -2)))
+        out.append(("t(-1,-2)", {(d - 2, 0): 1, (d - 1, 1): 1}, (-1, -2)))
+        out.append(("t(-2,-2)", {(d - 1, 0): 1}, (-2, -2)))
         return out
 
     def _middle_sp_basis(self):
-        """Basis of sp(omega) on the middle block.
+        """Basis of sp(omega) on the middle block, as {(row, col): value}
+        entries at their place in the 2n x 2n matrix.
 
         X is in sp(omega) iff omega X is symmetric, so omega^{-1} applied to
-        the standard symmetric basis spans it exactly.
+        the standard symmetric basis spans it exactly: omega^{-1} times
+        E_ij + E_ji adds column i of omega^{-1} to column j and column j of
+        omega^{-1} to column i.
         """
         m = self.m
         if m == 0:
@@ -237,10 +196,11 @@ class GradedLieAlgebra:
         basis = []
         for i in range(m):
             for j in range(i, m):
-                sym = ela.zeros(m, m)
-                sym[i][j] += Fraction(1)
-                sym[j][i] += Fraction(1)
-                basis.append(ela.matmul(om_inv, sym))
+                x = {}
+                for r in range(m):
+                    _add(x, (2 + r, 2 + j), om_inv[r][i])
+                    _add(x, (2 + r, 2 + i), om_inv[r][j])
+                basis.append(x)
         return basis
 
     def _index_basis(self):
@@ -387,9 +347,8 @@ class GradedLieAlgebra:
 
     def killing(self, a, b):
         """Killing form B(X, Y) = (2n + 2) tr(XY) on coefficient dicts."""
-        ma = self.element_matrix(a)
-        mb = self.element_matrix(b)
-        return (2 * self.n + 2) * ela.trace(ela.matmul(ma, mb))
+        xy = _sparse_mul(self._entries(a), self._entries(b))
+        return (2 * self.n + 2) * sum((v for (r, c), v in xy.items() if r == c), Fraction(0))
 
     # --- G0 action ---------------------------------------------------------------
     def g0_matrix(self, g):

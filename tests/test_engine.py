@@ -135,7 +135,7 @@ def test_generating_field_lies_in_contact_kernel(seed):
     # theta(-2,-2)(X) = 0 = theta(-1,-2)(X) symbolically
     spec = random_polynomial_spec(3, seed)
     geo = geometry(spec)
-    X = geo.x_raw()
+    X = geo.x_raw
     assert geo.coframe["theta(-2,-2)"].pair(X).is_zero()
     assert geo.coframe["theta(-1,-2)"].pair(X).is_zero()
 
@@ -183,11 +183,11 @@ def test_single_bracket_expansion(seed):
     geo = geometry(spec)
     f_low = geo.lower(geo.f_hat)
     for i in range(1, geo.m + 1):
-        got = geo.ai_xhat(i)
-        coeff = geo.a_field(i).apply(geo.f0_hat) + 2 * f_low[i - 1]
+        got = geo.ai_xhat[i - 1]
+        coeff = geo.a_fields[i - 1].apply(geo.f0_hat) + 2 * f_low[i - 1]
         expect = geo.frame[f"E{i}"] + geo.frame["T(0,-2)"].scale(coeff)
         for p in range(1, geo.m + 1):
-            expect = expect + geo.a_field(p).scale(geo.a_field(i).apply(geo.f_hat[p - 1]))
+            expect = expect + geo.a_fields[p - 1].scale(geo.a_fields[i - 1].apply(geo.f_hat[p - 1]))
         assert not (got - expect).components, i
 
 
@@ -411,8 +411,8 @@ def test_aax_bracket_congruence(seed):
     m = geo.m
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            inner = fm.lie_bracket(geo.a_field(j), geo.x_hat())
-            double = fm.lie_bracket(geo.a_field(i), inner)
+            inner = fm.lie_bracket(geo.a_fields[j - 1], geo.x_hat)
+            double = fm.lie_bracket(geo.a_fields[i - 1], inner)
             residual = double + geo.frame["T(-1,-2)"].scale(geo.omega[i - 1][j - 1])
             for key in ("theta(-1,0)", "theta(-1,-2)", "theta(-2,-2)", "eta1", "eta2"):
                 assert geo.coframe[key].pair(residual).is_zero(), (i, j, key)
@@ -508,17 +508,17 @@ def test_contact_torsion_builds_only_the_paired_components(data):
     spec = spec_from_dict(data)
     geo = geometry(spec)
     report = contact_torsion(spec)
-    assert not [key for key in geo._cache if isinstance(key, tuple) and key[0] == "aixx"]
+    assert "double_brackets" not in vars(geo)
     # the u components of [[A_i, X], X] are never built ...
     read = (geo.coframe["theta(-1,-2)"].components.keys()
             | geo.coframe["theta(-2,-2)"].components.keys())
     assert not any(c.startswith("u") for c in read)
-    for i in range(1, geo.m + 1):
-        assert set(geo.torsion_bracket(i).components) <= read
+    for b in geo.torsion_brackets:
+        assert set(b.components) <= read
     # ... and the pairings with the whole double bracket are the same
     th = geo.coframe["theta(-1,-2)"]
-    for i, tau in enumerate(report.bracket_tau, start=1):
-        assert str(geo.as_expr(th.pair(geo.double_bracket(i)))) == str(geo.as_expr(tau))
+    for double, tau in zip(geo.double_brackets, report.bracket_tau):
+        assert str(geo.as_expr(th.pair(double))) == str(geo.as_expr(tau))
 
 
 class _CountingRandom(engine.Random):
@@ -604,12 +604,11 @@ def test_monomial_tables_match_tree_walk(n):
     spec = random_polynomial_spec(n, 70 + n, degree=2, torsion_free=True)
     geo = geometry(spec)
     assert geo.polynomial
-    spans = geo.filtration_fields()
-    flat = [f for flist in spans.values() for f in flist]
-    u_fields, pairs, adapted, _ = engine._adapted_frame_data(geo)
+    spans, flat = geo.filtration
+    u_fields, pairs, adapted, _ = geo.adapted_frame
     expected = RankTable.expected(n)
     for point in _float_points(spec, 3, seed=n):
-        vals = geo.eval_fields("filtration", flat, point)
+        vals = geo.eval_fields(flat, point)
         start = 0
         walked_ranks = {}
         for key, flist in spans.items():
@@ -619,10 +618,50 @@ def test_monomial_tables_match_tree_walk(n):
             start += len(flist)
         assert filtration_ranks(spec, point) == RankTable(**walked_ranks)
         assert filtration_ranks(spec, point).as_tuple() == expected
-        _assert_close(geo.eval_fields("adapted", adapted, point), _walked(geo, adapted, point))
+        _assert_close(geo.eval_fields(adapted, point), _walked(geo, adapted, point))
         assert len(adapted) == len(u_fields) + len(pairs)
-        _assert_close(geo.eval_fields("nu", [geo.nu_form()], point),
-                      _walked(geo, [geo.nu_form()], point))
+        _assert_close(geo.eval_fields(geo.characteristic_fields, point),
+                      _walked(geo, geo.characteristic_fields, point))
+
+
+def test_each_field_list_gets_one_table(monkeypatch):
+    spec = random_polynomial_spec(4, 77, torsion_free=True)
+    geo = geometry(spec)
+    assert geo.polynomial
+    built = []
+
+    class CountingTable(engine.MonomialTable):
+        def __init__(self, names, objects):
+            built.append(objects)
+            super().__init__(names, objects)
+
+    monkeypatch.setattr(engine, "MonomialTable", CountingTable)
+    for pt in seeded_points(spec, 3, seed=19):
+        filtration_ranks(spec, pt)
+        engine.semiregular_ranks(spec, pt)
+        vertical_escape(spec, pt)
+        skew_complement_W(spec, pt, Fraction(1), Fraction(2))
+        partial_uw_vectors(spec, pt)
+        secondary_torsion(spec, pt)
+        characteristic_system_test(spec, pt)
+        adapted_frame_check(spec, pt)
+        torsion_point_reduction(spec, {k: float(v) for k, v in pt.items()})
+        torsion_obstruction_values(spec, pt)
+    owned = [geo.filtration[1], geo.semiregular_levels[-1], geo.escape_fields, geo.e_perp,
+             geo.partial_uw, geo.secondary_fields, geo.characteristic_fields,
+             geo.adapted_frame[2], geo.reduction_fields]
+    # one table per distinct field list, built on its first point
+    assert len({id(fields) for fields in owned}) == len(owned)
+    assert sorted(map(id, built)) == sorted(map(id, owned))
+    # the derived objects are built once
+    for name in ("x_hat", "x_raw", "ai_xhat", "double_brackets", "torsion_brackets",
+                 "secondary_brackets", "nu", "filtration", "adapted_frame", "torsion"):
+        assert getattr(geo, name) is getattr(geo, name), name
+    # the escape list extends the partial_uw list by T(0,-2), on its own table
+    tables = {id(fields): table for fields, table in geo._tables.values()}
+    assert geo.escape_fields[:-1] == geo.partial_uw
+    assert tables[id(geo.escape_fields)] is not tables[id(geo.partial_uw)]
+    assert tables[id(geo.escape_fields)].shape[0] == tables[id(geo.partial_uw)].shape[0] + 1
 
 
 def test_nonpolynomial_geometry_walks_trees(monkeypatch):
@@ -640,7 +679,7 @@ def test_nonpolynomial_geometry_walks_trees(monkeypatch):
     for point in _float_points(spec, 2, seed=5):
         assert filtration_ranks(spec, point).as_tuple() == RankTable.expected(3)
     assert walked
-    assert not [key for key in geo._cache if isinstance(key, tuple) and key[0] == "table"]
+    assert not geo._tables
 
 
 def _tree_nodes(e):
@@ -655,7 +694,7 @@ def test_transcendental_filtration_fields_stay_small():
     # trees built without folding 0*x, x*1 and x+0 held about 200 000 nodes here
     spec = spec_from_dict({"n": 3, "f0": "u1*u2 + sin(x1)", "f": ["u2^2 - x2 + exp(u1/4)", "u1*x1 - z"]})
     rep = torsion_free_representative(spec)
-    fields = geometry(rep).filtration_fields()
+    fields, _ = geometry(rep).filtration
     assert not geometry(rep).polynomial
     total = sum(
         _tree_nodes(comp) for span in fields.values() for field in span for comp in field.components.values()
@@ -672,10 +711,10 @@ spec = engine.spec_from_dict({
     "n": 4, "f0": "u1*u2 + x3^2*u4", "f": ["u3^2", "x2 - u1*u4", "2*u4*u2", "1/3*x1*u2"],
 })
 geo = engine.geometry(spec)
-nu = geo.nu_form()
+nu = geo.nu
 point = {name: 0.1 * (k + 1) - 0.37 for k, name in enumerate(geo.chart.names)}
 print(list(nu.components))
-print(hashlib.sha256(geo.eval_fields("nu", [nu], point).tobytes()).hexdigest())
+print(hashlib.sha256(geo.eval_fields([nu], point).tobytes()).hexdigest())
 """
 
 

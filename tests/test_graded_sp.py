@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -36,24 +37,52 @@ def test_basis_in_sp(n):
     g = build(n)
     omega = [list(r) for r in g.symplectic_form]
     for b in g.basis:
-        x = [list(r) for r in b.matrix]
+        x = g.element_matrix({b.name: 1})
         lhs = ela.matadd(ela.matmul(ela.transpose(x), omega), ela.matmul(omega, x))
         assert ela.is_zero_matrix(lhs), b.name
 
 
-@pytest.mark.parametrize("omega", [
+RATIONAL_OMEGAS = [
     [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]],
     [[0, Fraction(1, 2), 0, 1], [Fraction(-1, 2), 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
-], ids=["n3", "n4"])
+]
+
+
+@pytest.mark.parametrize("omega", RATIONAL_OMEGAS, ids=["n3", "n4"])
 def test_basis_in_sp_with_rational_omega(omega):
     # for an omega with omega omega^T != 1 the transposes of g_- built on
     # omega_{ij} itself leave sp; the positive part is built on omega^{ij}
     g = build(len(omega) // 2 + 2, omega=omega)
     big = [list(r) for r in g.symplectic_form]
     for b in g.basis:
-        x = [list(r) for r in b.matrix]
+        x = g.element_matrix({b.name: 1})
         lhs = ela.matadd(ela.matmul(ela.transpose(x), big), ela.matmul(big, x))
         assert ela.is_zero_matrix(lhs), b.name
+
+
+def _typed(value):
+    return str(value), type(value).__name__
+
+
+def test_basis_and_killing_form_pinned():
+    # sha256 of each basis element's (name, entries, bidegree) and of the
+    # Killing form on every ordered pair of basis names, every value with
+    # its type name, for n = 3..6 under each parabolic and for both rational
+    # omegas; recorded while each element still kept a dense matrix
+    algebras = [build(n, p) for n in range(3, 7) for p in ("P1", "P2", "P12")]
+    algebras += [build(len(om) // 2 + 2, omega=om) for om in RATIONAL_OMEGAS]
+    digest = hashlib.sha256()
+    for g in algebras:
+        for b in g.basis:
+            entries = tuple(tuple(map(_typed, entry)) for entry in b.entries)
+            digest.update(repr((b.name, entries, tuple(map(_typed, b.bidegree)))).encode())
+        names = [b.name for b in g.basis]
+        for na in names:
+            for nb in names:
+                digest.update(repr(_typed(g.killing({na: 1}, {nb: 1}))).encode())
+    assert digest.hexdigest() == "f557c082beba3ce1ae983e9230cf776d87fbc6c17ba08f07c7d1a80914021038"
+    # an empty trace is still the Fraction 0
+    assert type(build(3).killing({"t(-1,0)": 1}, {"a1": 1})) is Fraction
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -121,9 +150,9 @@ def test_structure_constants_verified(n):
 def test_structure_constants_negative_control():
     g = build(3)
     idx = g.index["e1"]
-    spoiled = [list(row) for row in g.basis[idx].matrix]
-    spoiled[2][0] += 1
-    g.basis[idx] = BasisElement("e1", tuple(tuple(r) for r in spoiled), (-1, -1))
+    spoiled = {(r, c): v for r, c, v in g.basis[idx].entries}
+    spoiled[(2, 0)] = spoiled.get((2, 0), 0) + 1
+    g.basis[idx] = BasisElement("e1", tuple((r, c, v) for (r, c), v in sorted(spoiled.items())), (-1, -1))
     g._index_basis()
     results = g.verify_structure_constants()
     assert any(not ok for _, ok in results)

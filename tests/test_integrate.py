@@ -182,7 +182,7 @@ def _integer_states(spec, count, seed):
 def test_rhs_equals_generating_field(spec):
     # integer data and small integer states keep every float product exact
     rhs = integrate_mod._compile_rhs(spec)
-    x_raw = geometry(spec).x_raw()
+    x_raw = geometry(spec).x_raw
     chart = spec.chart()
     for state in _integer_states(spec, 12, seed=3):
         point = {nm: Fraction(int(v)) for nm, v in zip(chart.names, state)}
