@@ -46,6 +46,7 @@ import numpy as np
 
 from . import expr as ex
 from . import flat_model as fm
+from . import graded_sp
 from .errors import (
     DegeneratePointError,
     ExprError,
@@ -56,7 +57,6 @@ from .errors import (
 from .exactlinalg import inverse as exact_inverse
 from .exactlinalg import rank as exact_rank
 from .exactlinalg import solve as exact_solve
-from .graded_sp import GradedLieAlgebra, standard_omega
 from .lowering import MonomialTable
 from .poly import Polynomial
 
@@ -130,7 +130,7 @@ def spec_from_dict(data):
             raise SpecFormatError(f"omega must be {m}x{m}")
         omega = [[_parse_rational(x) for x in row] for row in om_rows]
     else:
-        omega = standard_omega(m)
+        omega = graded_sp.standard_omega(m)
     for i in range(m):
         for j in range(m):
             if omega[i][j] != -omega[j][i]:
@@ -375,7 +375,7 @@ class Geometry:
         constants, the frame and bracket fields as one list, and per
         filtration level the positions in that list of the frame fields
         spanning it."""
-        algebra = GradedLieAlgebra(self.n, "P12", self.omega)
+        algebra = graded_sp.build(self.n, "P12", self.omega)
         # the adapted graded frame of a (pointwise) torsion-free spec
         u_fields = {"t(-1,0)": self.x_hat}
         f_low = self.lower(self.f_hat)

@@ -418,12 +418,13 @@ def simplify(e):
 
 
 def poly_to_expr(p):
-    """Render a Polynomial as an Expr tree (used for reporting)."""
+    """Render a Polynomial as an Expr tree (used for reporting), with
+    Fraction leaves whatever form the coefficients are stored in."""
     if p.is_zero():
         return Num(Fraction(0))
     total = None
     for mono in sorted(p.terms, key=lambda m: (-sum(e for _, e in m), m)):
-        c = p.terms[mono]
+        c = Fraction(p.terms[mono])
         factors = []
         for v, e in mono:
             factors.append(Var(v) if e == 1 else Pow(Var(v), e))

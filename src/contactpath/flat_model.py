@@ -136,9 +136,16 @@ class VectorField(_Components):
         """Directional derivative of a ring element: the sum of comp * d func /
         d coord, with func and the components in one ring.  A coordinate
         whose derivative is an exact zero adds nothing to the sum and is
-        skipped; when every one is, the zero the full sum gives is returned."""
+        skipped; when every one is, the zero the full sum gives is returned.
+        A polynomial is differentiated only by the coordinates it contains,
+        since by any other its derivative is that exact zero.  An expression
+        tree is differentiated by every coordinate: there such a derivative
+        can fold to the float 0.0, which enters the sum."""
+        present = func.variables() if isinstance(func, Polynomial) else self.components
         total = skipped = None
         for coord, comp in self.components.items():
+            if coord not in present:
+                continue
             d = func.diff(coord)
             if _vanishing_term(comp, d):
                 skipped = skipped or (comp, d)

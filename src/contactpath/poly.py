@@ -1,7 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are tuples of (variable, exponent) pairs sorted by variable name;
-coefficients are Fraction.  This is the workhorse behind every symbolic
+Monomials are tuples of (variable, exponent) pairs sorted by variable name.
+A coefficient is stored as an int while it is integral and as a Fraction
+otherwise, since int arithmetic is far cheaper than Fraction arithmetic; every
+operation restores that form for the coefficients it makes.  At the ring's
+edges the exact type is Fraction: `constant_value` returns one, and so does
+`evaluate` at an exact point.  This is the workhorse behind every symbolic
 identity check in the package: all flat-model data is polynomial, so "equals
 zero symbolically" reduces to an exact coefficient comparison here.
 """
@@ -9,6 +13,13 @@ zero symbolically" reduces to an exact coefficient comparison here.
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+
+
+def _exact(c):
+    """A rational coefficient in stored form: int when integral."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _mono_mul(m1, m2):
@@ -26,17 +37,17 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict monomial -> Fraction, zero coefficients removed
+        # terms: dict monomial -> int or non-integral Fraction, zeros removed
         self.terms = terms or {}
 
     @staticmethod
     def constant(c):
-        c = Fraction(c)
+        c = c if type(c) is int else _exact(Fraction(c))
         return Polynomial({(): c} if c else {})
 
     @staticmethod
     def variable(name):
-        return Polynomial({((name, 1),): Fraction(1)})
+        return Polynomial({((name, 1),): 1})
 
     @staticmethod
     def coerce(x):
@@ -53,7 +64,7 @@ class Polynomial:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), 0))
 
     def variables(self):
         seen = set()
@@ -73,7 +84,7 @@ class Polynomial:
         other = Polynomial.coerce(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
+            s = _exact(out.get(mono, 0) + c)
             if s:
                 out[mono] = s
             else:
@@ -105,7 +116,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
+                s = _exact(out.get(m, 0) + c1 * c2)
                 if s:
                     out[m] = s
                 else:
@@ -145,7 +156,7 @@ class Polynomial:
                         new = mono[:idx] + mono[idx + 1:]
                     else:
                         new = mono[:idx] + ((v, e - 1),) + mono[idx + 1:]
-                    s = out.get(new, _ZERO) + c * e
+                    s = _exact(out.get(new, 0) + c * e)
                     if s:
                         out[new] = s
                     else:
@@ -162,7 +173,7 @@ class Polynomial:
             total = val if total is None else total + val
         if total is None:
             return _ZERO
-        return total
+        return Fraction(total) if type(total) is int else total
 
     def __repr__(self):
         return f"Polynomial({self})"

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -226,3 +228,25 @@ def test_graded_component_sum_matches_dims():
         g = build(n)
         total = sum(len(g.component(b)) for b in g.bidegrees())
         assert total == n * (2 * n + 1)
+
+
+# sha256 of the sorted "[a, b] coord: component" lines of every bracket of
+# two frame(4) fields, as computed with a derivative by every coordinate
+FRAME4_BRACKETS_SHA256 = "1e7b2ea38a1f1f32e70a27d4dbb902b6a09ce907a213f56751f95dd237488251"
+
+
+def test_frame_brackets_differentiate_only_by_present_coordinates(monkeypatch):
+    taken = []
+    diff = Polynomial.diff
+
+    def counted(p, var):
+        taken.append((var, frozenset(p.variables())))
+        return diff(p, var)
+
+    monkeypatch.setattr(Polynomial, "diff", counted)
+    frame = fm.frame(4)
+    lines = sorted(f"[{a}, {b}] {coord}: {comp}"
+                   for (a, x), (b, y) in itertools.product(frame.items(), repeat=2)
+                   for coord, comp in fm.lie_bracket(x, y).components.items())
+    assert taken and all(var in present for var, present in taken)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FRAME4_BRACKETS_SHA256

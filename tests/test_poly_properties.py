@@ -1,7 +1,8 @@
 """Property tests for the exact ring and the component algebra built on it:
-`Polynomial` arithmetic, `diff` and `evaluate`, the conversion to `Expr`,
-vector fields (`apply`, `lie_bracket`, `scale`) and `contract`, and exact
-row reduction.  `apply` and the restricted `lie_bracket` are also checked on
+`Polynomial` arithmetic, `diff` and `evaluate`, the coefficient contract
+(`int` while integral, `Fraction` at the ring's edges), the conversion to
+`Expr`, vector fields (`apply`, `lie_bracket`, `scale`) and `contract`, and
+exact row reduction.  `apply` and the restricted `lie_bracket` are also checked on
 expression-tree components, float constants included."""
 
 from fractions import Fraction
@@ -113,6 +114,132 @@ def test_contract_is_the_double_sum(data):
     matrix, vec = data
     naive = [sum((w * v for w, v in zip(row, vec)), Polynomial()) for row in matrix]
     assert fm.contract(matrix, vec) == naive
+
+
+# the coefficient contract: int coefficients while integral, Fraction at the
+# ring's edges; checked against a Fraction-only reference on plain dicts
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mono_mul(m1, m2):
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out = ref_add(out, {ref_mono_mul(m1, m2): c1 * c2})
+    return out
+
+
+def ref_pow(a, k):
+    out = {(): Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_diff(a, var):
+    out = {}
+    for mono, c in a.items():
+        exps = dict(mono)
+        if var in exps:
+            e = exps.pop(var)
+            if e > 1:
+                exps[var] = e - 1
+            out = ref_add(out, {tuple(sorted(exps.items())): c * e})
+    return out
+
+
+def ref_evaluate(a, pt):
+    total = None
+    for mono, c in a.items():
+        val = c
+        for v, e in mono:
+            val = val * pt[v] ** e
+        total = val if total is None else total + val
+    return Fraction(0) if total is None else total
+
+
+def fraction_leaves(e):
+    if isinstance(e, ex.Num):
+        return [e.value]
+    return [x for c in e.children() for x in fraction_leaves(c)]
+
+
+# integral Fractions such as 6/3 among the draws
+mixed = st.one_of(coefficients, st.integers(-3, 3),
+                  st.sampled_from([Fraction(6, 3), Fraction(-4, 2), Fraction(0, 5)]))
+term_lists = st.lists(st.tuples(monomials, mixed), max_size=4)
+float_points = st.fixed_dictionaries({v: st.sampled_from([0.5, -1.25, 3.0, 0.1]) for v in VARS})
+
+
+def built(terms):
+    """(Polynomial built through the ring, Fraction-only reference dict)."""
+    p, ref = Polynomial(), {}
+    for mono, c in terms:
+        m = Polynomial.constant(c)
+        for v, e in mono:
+            m = m * Polynomial.variable(v) ** e
+        p = p + m
+        ref = ref_add(ref, {mono: Fraction(c)} if c else {})
+    return p, ref
+
+
+def check_contract(p, ref, pt, fpt):
+    assert p.terms == ref
+    assert all(type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction
+               for c in p.terms.values())
+    if p.is_constant():
+        value = p.constant_value()
+        assert type(value) is Fraction and value == ref.get((), 0)
+    for point in (pt, fpt):
+        got, want = p.evaluate(point), ref_evaluate(ref, point)
+        assert type(got) is type(want) and got == want
+    assert type(p.evaluate(pt)) is Fraction
+    assert type(p.evaluate(fpt)) is (Fraction if p.is_constant() else float)
+    tree = ex.poly_to_expr(p)
+    assert tree.to_str() == ex.poly_to_expr(Polynomial(ref)).to_str()
+    assert all(type(x) is Fraction for x in fraction_leaves(tree))
+
+
+@exact
+@given(term_lists, term_lists, mixed, st.integers(0, 3), variables, points, float_points)
+def test_integral_coefficients_are_ints_and_edges_stay_fraction(s, t, c, k, v, pt, fpt):
+    (p, p_ref), (q, q_ref) = built(s), built(t)
+    c_ref = {(): Fraction(c)} if c else {}
+    results = [
+        (p, p_ref),
+        (p + q, ref_add(p_ref, q_ref)),
+        (p - q, ref_add(p_ref, ref_neg(q_ref))),
+        (-p, ref_neg(p_ref)),
+        (p * q, ref_mul(p_ref, q_ref)),
+        (p ** k, ref_pow(p_ref, k)),
+        (p.diff(v), ref_diff(p_ref, v)),
+        (p + c, ref_add(p_ref, c_ref)),
+        (c - p, ref_add(c_ref, ref_neg(p_ref))),
+        (c * p, ref_mul(c_ref, p_ref)),
+        (Polynomial.constant(c), c_ref),
+    ]
+    for r, ref in results:
+        check_contract(r, ref, pt, fpt)
 
 
 # expression-tree components: polynomials, a transcendental call, and
