@@ -117,18 +117,13 @@ def cmd_flat_check(args):
 
     fr = flat_model.frame(n)
     cf = flat_model.coframe(n)
-    ok = True
-    for fk, ck in flat_model.frame_coframe_pairs(n):
-        for fk2, _ in flat_model.frame_coframe_pairs(n):
-            val = cf[ck].pair(fr[fk2])
-            want = 1 if fk == fk2 else 0
-            if not (val - flat_model.Polynomial.constant(want)).is_zero():
-                ok = False
+    pairs = flat_model.frame_coframe_pairs(n)
+    ok = all(cf[ck].pair(fr[fk2]) == int(fk == fk2) for fk, ck in pairs for fk2, _ in pairs)
     checks.append(("coframe dual to frame", ok))
 
     algebra = graded_sp.build(n, "P12")
     names = algebra.negative_names()
-    cap = {nm: nm[0].upper() + nm[1:] if not nm.startswith("t") else "T" + nm[1:] for nm in names}
+    cap = {nm: flat_model.frame_keys(nm)[0] for nm in names}
     constants = {
         (na, nb): algebra.bracket_names(na, nb) for i, na in enumerate(names) for nb in names[i + 1:]
     }

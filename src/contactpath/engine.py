@@ -33,7 +33,9 @@ walk their trees.  A spec's Geometry is built on first use and kept on the
 spec itself, so it lives exactly as long as the spec; every object derived
 from the spec (generating fields, brackets, the field list of each check,
 the contact torsion report at the default seed) is a cached attribute of
-the Geometry, built once on first use.
+the Geometry, built once on first use.  The polynomial frame and coframe
+depend only on (n, omega): `flat_model` builds them once per pair, and
+every polynomial Geometry with that pair shares them, read-only.
 """
 
 import json

@@ -1,11 +1,14 @@
-"""Symbolic realization of the flat model in exponential coordinates.
+"""Symbolic realization of the flat model, the homogeneous space of Sp(Omega).
 
 Vector fields and differential forms live in a single chart and have
 polynomial components (degree <= 2 for everything the model needs), so all
 identities here — frame/coframe duality, the bracket table, the structure
 equation d Theta + Theta ^ Theta = 0, the isotropic-Grassmannian contact
-forms — are checked by exact coefficient arithmetic.  No atlas, no manifold
-machinery: everything happens in one chart.
+forms — are checked by exact coefficient arithmetic.  The chart is one
+unitriangular g in Sp(Omega) (`model_element`), and the frame, the coframe
+and Theta = g^-1 dg are read off g and the g_- basis of
+`graded_sp.negative_part`, so omega enters only through `graded_sp`.  The
+frame and the coframe are built once per (n, omega) and are read-only.
 
 `VectorField`, `OneForm` and `TwoForm` share one sparse component algebra
 (`_Components`: sum, difference, negation, `scale`, `map`) and add only their
@@ -18,13 +21,14 @@ the engine maps the polynomial frame to trees for non-polynomial specs.
 
 import functools
 import itertools
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlinalg as ela
 from .errors import UnsupportedDimensionError
 from .expr import Num
-from .graded_sp import standard_omega
+from .graded_sp import negative_names, negative_part, standard_omega
 from .poly import Polynomial
 
 PZERO = Polynomial()
@@ -342,91 +346,96 @@ def eval_wedge_of_two_forms(forms, counts, size):
     return rec(0, tuple(counts))
 
 
-# --- the projectivized-contact-bundle frame --------------------------------
+# --- the flat model: the chart as an element g of Sp(Omega) -------------------
 
 def _omega(size, omega=None):
     return [list(map(Fraction, row)) for row in (standard_omega(size) if omega is None else omega)]
 
 
-def frame(n, omega=None):
-    """Left-invariant frame on the projectivized contact bundle.
+def frame_keys(name):
+    """(frame key, coframe key) of the g_- basis element `name`: t(i,j) ->
+    T(i,j), theta(i,j); a_i -> A_i, theta_i; e_i -> E_i, eta_i."""
+    if name.startswith("t("):
+        return "T" + name[1:], "theta" + name[1:]
+    return name[0].upper() + name[1:], ("theta" if name[0] == "a" else "eta") + name[1:]
 
-    Keys: 'T(-1,0)', 'A1'.., 'E1'.., 'T(0,-2)', 'T(-1,-2)', 'T(-2,-2)'.
-    """
+
+def model_element(n, omega=None):
+    """The chart as a lower unitriangular g in Sp(Omega), a (2n) x (2n)
+    polynomial matrix whose first two columns span the isotropic 2-plane of
+    a point: (1, t, x_1.., x0, z) and (0, 1, u_1.., u0, x0 - t u0 + u^j (omega x)_j)."""
     if n < 3:
-        raise UnsupportedDimensionError("frame requires n >= 3")
-    m = 2 * n - 4
+        raise UnsupportedDimensionError("the flat model requires n >= 3")
+    m, d = 2 * n - 4, 2 * n
+    t, x0, z, u0 = map(Polynomial.variable, ("t", "x0", "z", "u0"))
+    x, u = ([Polynomial.variable(f"{s}{i}") for i in range(1, m + 1)] for s in "xu")
     om = _omega(m, omega)
-    u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
-    u0 = Polynomial.variable("u0")
-    x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
-    x0 = Polynomial.variable("x0")
-    t = Polynomial.variable("t")
+    ox, ou = contract(om, x), contract(om, u)  # omega_iq x^q, omega_iq u^q
+    g = [[PONE if r == c else PZERO for c in range(d)] for r in range(d)]
+    for r, entry in enumerate([t, *x, x0, z], 1):
+        g[r][0] = entry
+    for r, entry in enumerate([*u, u0], 2):
+        g[r][1] = entry
+    g[d - 1][1] = x0 - t * u0 + sum((uj * oxj for uj, oxj in zip(u, ox)), PZERO)
+    for j in range(m):
+        g[d - 2][2 + j], g[d - 1][2 + j] = ou[j], ox[j] - t * ou[j]
+    g[d - 1][d - 2] = -t
+    return g
 
-    ou = contract(om, u)  # omega_ip u^p
-    ox = contract(om, x)  # omega_iq x^q
 
-    X = [VectorField({f"x{i}": PONE, "z": ox[i - 1]}) for i in range(1, m + 1)]
-    X_0 = VectorField({"x0": PONE, "z": -t})
-    fields = {}
-    for i in range(1, m + 1):
-        fields[f"A{i}"] = VectorField({f"u{i}": PONE, "u0": ou[i - 1]})
-    tm10 = VectorField({"t": PONE, "z": x0}) + X_0.scale(u0)
-    for p in range(1, m + 1):
-        tm10 = tm10 + X[p - 1].scale(u[p - 1])
-    fields["T(-1,0)"] = tm10
-    for i in range(1, m + 1):
-        fields[f"E{i}"] = X[i - 1] + X_0.scale(ou[i - 1])
-    fields["T(0,-2)"] = VectorField({"u0": PONE})
-    fields["T(-1,-2)"] = X_0
-    fields["T(-2,-2)"] = VectorField({"z": PONE})
-    return fields
+@functools.lru_cache(maxsize=16)
+def _frame_and_coframe(n, omega):
+    """Read-only frame and coframe for omega a tuple of Fraction rows.
+
+    The coordinate dual to B in g_- is the entry of g at B's lead (see
+    `graded_sp.negative_part`).  B's frame field is gB read at the leads;
+    its coframe form theta_B is the lead entry (r, c) of Theta = g^-1 dg,
+    sum_k (g^-1)[r][k] d g[k][c], with row r of g^-1 by forward substitution."""
+    g = model_element(n, omega)
+    part = negative_part(n, omega)
+    coords = {(r, c): min(g[r][c].variables()) for r, c in (min(e) for _, e, _ in part)}
+    fields, forms = {}, {}
+    for name, entries, _ in part:
+        fkey, ckey = frame_keys(name)
+        fields[fkey] = VectorField({
+            coord: sum((g[r][k] * v for (k, col), v in entries.items()
+                        if col == c and not g[r][k].is_zero()), PZERO)
+            for (r, c), coord in coords.items()})
+        r, c = min(entries)
+        inv_row = [PZERO] * r + [PONE]
+        for k in range(r - 1, c, -1):
+            inv_row[k] = -sum((inv_row[j] * g[j][k] for j in range(k + 1, r + 1)
+                               if not g[j][k].is_zero()), PZERO)
+        comps = {}
+        for k in range(c + 1, r + 1):
+            for var in sorted(g[k][c].variables()):
+                term = inv_row[k] * g[k][c].diff(var)
+                comps[var] = comps[var] + term if var in comps else term
+        forms[ckey] = OneForm(comps)
+    return types.MappingProxyType(fields), types.MappingProxyType(forms)
+
+
+def _key(n, omega):
+    """(n, omega as a tuple of Fraction rows), None read as the standard omega."""
+    return n, tuple(map(tuple, _omega(2 * n - 4, omega)))
+
+
+def frame(n, omega=None):
+    """Left-invariant frame, read-only and built once per (n, omega).  Keys:
+    'T(-1,0)', 'A1'.., 'E1'.., 'T(0,-2)', 'T(-1,-2)', 'T(-2,-2)'."""
+    return _frame_and_coframe(*_key(n, omega))[0]
 
 
 def coframe(n, omega=None):
-    """Dual left-invariant coframe; keys mirror frame() plus theta/eta indices.
-
-    'theta(-1,0)', 'theta1'.., 'eta1'.., 'theta(0,-2)', 'theta(-1,-2)',
-    'theta(-2,-2)'.
-    """
-    if n < 3:
-        raise UnsupportedDimensionError("coframe requires n >= 3")
-    m = 2 * n - 4
-    om = _omega(m, omega)
-    u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
-    u0 = Polynomial.variable("u0")
-    x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
-    x0 = Polynomial.variable("x0")
-    t = Polynomial.variable("t")
-
-    om_t = ela.transpose(om)
-    uo = contract(om_t, u)  # omega_pq u^p
-    xo = contract(om_t, x)  # omega_pq x^p
-
-    forms = {"theta(-1,0)": OneForm({"t": PONE})}
-    for i in range(1, m + 1):
-        forms[f"theta{i}"] = OneForm({f"u{i}": PONE})
-        forms[f"eta{i}"] = OneForm({f"x{i}": PONE, "t": -u[i - 1]})
-    dx_uo = {f"x{q}": v for q, v in enumerate(uo, 1)}
-    dx_xo = {f"x{q}": v for q, v in enumerate(xo, 1)}
-    forms["theta(-1,-2)"] = OneForm({"x0": PONE, "t": -u0, **dx_uo})
-    forms["theta(-2,-2)"] = OneForm({"z": PONE, "x0": t, "t": -x0, **dx_xo})
-    forms["theta(0,-2)"] = OneForm({"u0": PONE, **{f"u{q}": v for q, v in enumerate(uo, 1)}})
-    return forms
+    """Dual left-invariant coframe, read-only and built once per (n, omega).
+    Keys: 'theta(-1,0)', 'theta1'.., 'eta1'.., 'theta(0,-2)', 'theta(-1,-2)',
+    'theta(-2,-2)'."""
+    return _frame_and_coframe(*_key(n, omega))[1]
 
 
 def frame_coframe_pairs(n):
     """Matching (frame key, coframe key) order for duality checks."""
-    m = 2 * n - 4
-    pairs = [("T(-1,0)", "theta(-1,0)")]
-    pairs += [(f"A{i}", f"theta{i}") for i in range(1, m + 1)]
-    pairs += [(f"E{i}", f"eta{i}") for i in range(1, m + 1)]
-    pairs += [
-        ("T(0,-2)", "theta(0,-2)"),
-        ("T(-1,-2)", "theta(-1,-2)"),
-        ("T(-2,-2)", "theta(-2,-2)"),
-    ]
-    return pairs
+    return [frame_keys(name) for name in negative_names(n)]
 
 
 def pdq_frame(n):
@@ -467,29 +476,16 @@ def pdq_frame(n):
 
 # --- structure equation -----------------------------------------------------
 
-def theta_matrix(n):
-    """The flat-model connection form: a (2n) x (2n) matrix of one-forms."""
-    cf = coframe(n)
-    m = 2 * n - 4
-    om = _omega(m)
+def theta_matrix(n, omega=None):
+    """The flat-model connection form Theta = g^-1 dg = sum_B theta_B B over
+    the g_- basis: a (2n) x (2n) matrix of one-forms, new on each call."""
+    cf = coframe(n, omega)
     d = 2 * n
-    zero = OneForm()
-    theta = [[zero for _ in range(d)] for _ in range(d)]
-    theta[1][0] = cf["theta(-1,0)"]
-    for i in range(1, m + 1):
-        theta[1 + i][0] = cf[f"eta{i}"]
-        theta[1 + i][1] = cf[f"theta{i}"]
-    theta[d - 2][0] = cf["theta(-1,-2)"]
-    theta[d - 2][1] = cf["theta(0,-2)"]
-    theta[d - 1][0] = cf["theta(-2,-2)"]
-    theta[d - 1][1] = cf["theta(-1,-2)"]
-    om_t = ela.transpose(om)
-    lowered_theta = contract(om_t, [cf[f"theta{q}"] for q in range(1, m + 1)], zero)
-    lowered_eta = contract(om_t, [cf[f"eta{q}"] for q in range(1, m + 1)], zero)
-    for j in range(1, m + 1):
-        theta[d - 2][1 + j] = -lowered_theta[j - 1]
-        theta[d - 1][1 + j] = -lowered_eta[j - 1]
-    theta[d - 1][d - 2] = -cf["theta(-1,0)"]
+    theta = [[OneForm() for _ in range(d)] for _ in range(d)]
+    for name, entries, _ in negative_part(*_key(n, omega)):
+        form = cf[frame_keys(name)[1]]
+        for (r, c), v in entries.items():
+            theta[r][c] = theta[r][c] + form.scale(v)
     return theta
 
 

@@ -88,6 +88,35 @@ def _sparse_mul(a_entries, b_entries):
     return out
 
 
+def negative_names(n):
+    """Names of the g_- basis: t(-1,0), a_i, e_i, then the three t's."""
+    m = 2 * n - 4
+    return (["t(-1,0)"] + [f"a{i}" for i in range(1, m + 1)] + [f"e{i}" for i in range(1, m + 1)]
+            + ["t(0,-2)", "t(-1,-2)", "t(-2,-2)"])
+
+
+def negative_part(n, om):
+    """(name, {(row, col): nonzero value}, bidegree) of each basis element of
+    g_-, read off its general element for the middle form `om`.  The first
+    entry of each in row-major order, its lead, has value 1, and no other
+    element of g_- is nonzero there."""
+    m = 2 * n - 4
+    d = 2 * n
+    out = [("t(-1,0)", {(1, 0): 1, (d - 1, d - 2): -1}, (-1, 0))]
+    for p in range(1, m + 1):
+        a = {(1 + p, 1): 1}
+        a.update({(d - 2, 1 + q): -om[p - 1][q - 1] for q in range(1, m + 1) if om[p - 1][q - 1]})
+        out.append((f"a{p}", a, (0, -1)))
+    out.append(("t(0,-2)", {(d - 2, 1): 1}, (0, -2)))
+    for p in range(1, m + 1):
+        e = {(1 + p, 0): 1}
+        e.update({(d - 1, 1 + q): -om[p - 1][q - 1] for q in range(1, m + 1) if om[p - 1][q - 1]})
+        out.append((f"e{p}", e, (-1, -1)))
+    out.append(("t(-1,-2)", {(d - 2, 0): 1, (d - 1, 1): 1}, (-1, -2)))
+    out.append(("t(-2,-2)", {(d - 1, 0): 1}, (-2, -2)))
+    return out
+
+
 class GradedLieAlgebra:
     """Basis of sp(n, R), each element tagged with its Z^2-bidegree."""
 
@@ -139,14 +168,14 @@ class GradedLieAlgebra:
     def _build_basis(self):
         d = 2 * self.n
         basis = [_element(name, entries, bideg)
-                 for name, entries, bideg in self._negative_part(self.omega)]
+                 for name, entries, bideg in negative_part(self.n, self.omega)]
 
         # positive part: X is in sp(Omega) iff X^T is in sp(Omega^{-1}), the
         # form with middle block omega^{ij} up to an overall sign, and
         # transposition negates the bidegree; so the transposes of the
         # negative part built on omega^{ij} span p^+ (for the standard omega,
         # omega^{ij} = omega_{ij})
-        for name, entries, bideg in self._negative_part(self.omega_upper):
+        for name, entries, bideg in negative_part(self.n, self.omega_upper):
             if name.startswith("t("):
                 pos = "t(" + ",".join(str(-int(x)) for x in name[2:-1].split(",")) + ")"
             else:
@@ -160,25 +189,6 @@ class GradedLieAlgebra:
         for i, middle in enumerate(self._middle_sp_basis()):
             basis.append(_element(f"s{i + 1}", middle, (0, 0)))
         return basis
-
-    def _negative_part(self, om):
-        """(name, {(row, col): value}, bidegree) of g_-, read off its general
-        element for the middle form `om`."""
-        m = self.m
-        d = 2 * self.n
-        out = [("t(-1,0)", {(1, 0): 1, (d - 1, d - 2): -1}, (-1, 0))]
-        for p in range(1, m + 1):
-            a = {(d - 2, 1 + q): -om[p - 1][q - 1] for q in range(1, m + 1)}
-            a[(1 + p, 1)] = 1
-            out.append((f"a{p}", a, (0, -1)))
-        out.append(("t(0,-2)", {(d - 2, 1): 1}, (0, -2)))
-        for p in range(1, m + 1):
-            e = {(d - 1, 1 + q): -om[p - 1][q - 1] for q in range(1, m + 1)}
-            e[(1 + p, 0)] = 1
-            out.append((f"e{p}", e, (-1, -1)))
-        out.append(("t(-1,-2)", {(d - 2, 0): 1, (d - 1, 1): 1}, (-1, -2)))
-        out.append(("t(-2,-2)", {(d - 1, 0): 1}, (-2, -2)))
-        return out
 
     def _middle_sp_basis(self):
         """Basis of sp(omega) on the middle block, as {(row, col): value}
@@ -382,12 +392,7 @@ class GradedLieAlgebra:
 
     # --- graded automorphisms -------------------------------------------------
     def negative_names(self):
-        return (
-            ["t(-1,0)"]
-            + [f"a{i}" for i in range(1, self.m + 1)]
-            + [f"e{i}" for i in range(1, self.m + 1)]
-            + ["t(0,-2)", "t(-1,-2)", "t(-2,-2)"]
-        )
+        return negative_names(self.n)
 
     def solve_graded_automorphism(self, candidate):
         """Decide whether a Z-graded linear map on g_- is a Lie automorphism.

@@ -2,10 +2,18 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import contactpath
+from contactpath.flat_model import frame_keys
+
+# two non-standard middle forms omega with omega omega^T != 1, for n = 3 and 4
+RATIONAL_OMEGAS = [
+    [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]],
+    [[0, Fraction(1, 2), 0, 1], [Fraction(-1, 2), 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
+]
 
 
 @pytest.fixture
@@ -31,6 +39,4 @@ def run_python():
 
 def capitalized(name):
     """Map an algebra basis name to the matching frame field key."""
-    if name.startswith("t"):
-        return "T" + name[1:]
-    return name[0].upper() + name[1:]
+    return frame_keys(name)[0]

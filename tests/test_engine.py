@@ -40,6 +40,7 @@ from contactpath.errors import (
     SpecFormatError,
     TorsionPreconditionError,
 )
+from contactpath.graded_sp import standard_omega
 from contactpath.poly import Polynomial
 
 
@@ -113,6 +114,22 @@ def test_geometry_lives_on_its_spec():
     del spec, geo
     gc.collect()
     assert ref() is None
+
+
+def test_specs_with_one_n_and_omega_share_a_read_only_frame():
+    a = geometry(spec_from_dict({"n": 4, "f0": "u1^3", "f": ["0", "0", "0", "0"]}))
+    b = geometry(spec_from_dict({"n": 4, "f0": "x1", "f": ["u2", "0", "1", "0"]}))
+    assert a.frame is b.frame and a.coframe is b.coframe
+    with pytest.raises(TypeError):
+        a.frame["A1"] = a.frame["A2"]
+    with pytest.raises(TypeError):
+        a.coframe["theta1"] = a.coframe["theta2"]
+    # None and the explicit standard omega are one cache entry
+    assert fm.frame(4) is a.frame
+    cf = fm.coframe(5)
+    misses = fm._frame_and_coframe.cache_info().misses
+    assert fm.coframe(5, standard_omega(6)) is cf
+    assert fm._frame_and_coframe.cache_info().misses == misses
 
 
 def test_flat_generating_field_is_the_horizontal_generator():

@@ -9,7 +9,7 @@ from contactpath.errors import UnsupportedDimensionError
 from contactpath.graded_sp import build, standard_omega
 from contactpath.poly import Polynomial
 
-from conftest import capitalized
+from conftest import RATIONAL_OMEGAS, capitalized
 
 
 def test_chart_dimensions():
@@ -49,6 +49,32 @@ def test_coframe_dual_to_frame(n):
         for fk2, _ in pairs:
             val = cf[ck].pair(fr[fk2])
             assert val == Polynomial.constant(1 if fk == fk2 else 0)
+
+
+# sha256 of the sorted "key coordinate terms" lines of every component of
+# frame(n, omega) and coframe(n, omega), the terms as sorted (monomial,
+# Fraction) pairs; recorded from the hand-written frame and coframe
+FRAME_COFRAME_SHA256 = {
+    (3, None): "059e24309376e96cae63afc2d44c394c94357cc6d3e1ef412dc1fd9fd9084943",
+    (4, None): "fd00a0ea3501b7f3a50b5246f7ebd128862901b179847ad9efb2349afc54c237",
+    (5, None): "6dd873176256fecf12ebcf40fbb5f89a0458723b4369de35af7c9dc79c0a1357",
+    (6, None): "d5d844b44b7d4e9cc4ca74e99f81273c6ec8e0d11dbcf8d9148474715a3fbf6b",
+    (7, None): "924bde3bb885e46746d4ee878815a3ba08049a6a5d107017793f49d6e6951e94",
+    (3, 0): "5de692853514f7e01d3a06257530d83121c4dd0944fcbcaf23afb0d665eb74e8",
+    (4, 1): "a7b7f9cd39a3187bc73ea4a48d8418e48b43ab61a467ae8fb7c83b41956c52fc",
+}
+
+
+@pytest.mark.parametrize("n, which", FRAME_COFRAME_SHA256)
+def test_frame_and_coframe_components_unchanged(n, which):
+    omega = None if which is None else RATIONAL_OMEGAS[which]
+    lines = sorted(
+        f"{key} {coord} {sorted((mono, Fraction(c)) for mono, c in comp.terms.items())}"
+        for objs in (fm.frame(n, omega), fm.coframe(n, omega))
+        for key, obj in objs.items()
+        for coord, comp in obj.components.items())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FRAME_COFRAME_SHA256[(n, which)]
 
 
 def test_bracket_of_field_with_itself_vanishes():
@@ -108,6 +134,40 @@ def test_structure_equation_negative_control():
     theta[2 * 3 - 2][1] = fm.OneForm({"u0": fm.PONE})
     res = fm.structure_equation_residual(theta)
     assert not fm.residual_is_zero(res)
+
+
+def _model_element_identities(n, omega, g):
+    """(g^T Omega g == Omega, dg/dc == g Theta(d/dc) for every chart
+    coordinate c), with Theta = theta_matrix(n, omega)."""
+    d = 2 * n
+    big = build(n, omega=omega).symplectic_form
+    form = [(k, l, v) for k, row in enumerate(big) for l, v in enumerate(row) if v]
+    symplectic = all(
+        sum((g[k][r] * v * g[l][c] for k, l, v in form), Polynomial()) == big[r][c]
+        for r in range(d) for c in range(d))
+    theta = fm.theta_matrix(n, omega)
+    integrates = all(
+        g[r][c].diff(coord) == sum((g[r][k] * theta[k][c].components.get(coord, fm.PZERO)
+                                    for k in range(d)), Polynomial())
+        for coord in fm.projective_chart(n).names for r in range(d) for c in range(d))
+    return symplectic, integrates
+
+
+@pytest.mark.parametrize("n, which", [(3, None), (4, None), (5, None), (3, 0), (4, 1)])
+def test_model_element_is_symplectic_and_integrates_theta(n, which):
+    omega = None if which is None else RATIONAL_OMEGAS[which]
+    assert _model_element_identities(n, omega, fm.model_element(n, omega)) == (True, True)
+
+
+@pytest.mark.parametrize("n, which", [(3, None), (4, 1)])
+def test_model_element_negative_control(n, which):
+    # flip the sign of the u^j (omega x)_j term of g[d-1][1]
+    omega = None if which is None else RATIONAL_OMEGAS[which]
+    g = fm.model_element(n, omega)
+    t, x0, u0 = (Polynomial.variable(v) for v in ("t", "x0", "u0"))
+    base = x0 - t * u0
+    g[2 * n - 1][1] = base - (g[2 * n - 1][1] - base)
+    assert _model_element_identities(n, omega, g) == (False, False)
 
 
 def test_frame_requires_n3():

@@ -7,6 +7,8 @@ from contactpath import exactlinalg as ela
 from contactpath.errors import InconsistencyError, UnsupportedDimensionError
 from contactpath.graded_sp import BasisElement, G0Element, build
 
+from conftest import RATIONAL_OMEGAS
+
 
 def random_sp_element(m, rng):
     """Exact random element of Sp(omega) for the standard block omega."""
@@ -40,12 +42,6 @@ def test_basis_in_sp(n):
         x = g.element_matrix({b.name: 1})
         lhs = ela.matadd(ela.matmul(ela.transpose(x), omega), ela.matmul(omega, x))
         assert ela.is_zero_matrix(lhs), b.name
-
-
-RATIONAL_OMEGAS = [
-    [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]],
-    [[0, Fraction(1, 2), 0, 1], [Fraction(-1, 2), 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
-]
 
 
 @pytest.mark.parametrize("omega", RATIONAL_OMEGAS, ids=["n3", "n4"])
