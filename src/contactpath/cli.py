@@ -9,6 +9,7 @@ flags.
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -243,6 +244,8 @@ def _parse_point(spec, text):
 
 
 def cmd_ranks(args):
+    if args.count < 1:
+        return _fail("--count must be at least 1")
     spec = _load(args.spec)
     if args.point:
         points = [_parse_point(spec, args.point)]
@@ -265,6 +268,8 @@ def cmd_ranks(args):
 def cmd_integrate(args):
     spec = _load(args.spec)
     init = _parse_point(spec, args.init)
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        return _fail("--t0 and --t1 must be finite")
     if args.t1 <= args.t0:
         return _fail("--t1 must exceed --t0")
     try:

@@ -33,9 +33,10 @@ walk their trees.  A spec's Geometry is built on first use and kept on the
 spec itself, so it lives exactly as long as the spec; every object derived
 from the spec (generating fields, brackets, the field list of each check,
 the contact torsion report at the default seed) is a cached attribute of
-the Geometry, built once on first use.  The polynomial frame and coframe
-depend only on (n, omega): `flat_model` builds them once per pair, and
-every polynomial Geometry with that pair shares them, read-only.
+the Geometry, built once on first use.  The frame and coframe depend only
+on (n, omega): `flat_model` builds them once per pair in each ring, and
+every Geometry with that pair and ring shares them, read-only.  omega^{ij}
+is read from `graded_sp.omega_upper`, which decides omega once.
 """
 
 import json
@@ -56,7 +57,6 @@ from .errors import (
     SpecFormatError,
     TorsionPreconditionError,
 )
-from .exactlinalg import inverse as exact_inverse
 from .exactlinalg import rank as exact_rank
 from .exactlinalg import solve as exact_solve
 from .lowering import MonomialTable
@@ -118,8 +118,11 @@ def spec_from_dict(data):
     if not isinstance(data, dict):
         raise SpecFormatError("spec must be a JSON object")
     try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
+        n = data["n"]
+        if isinstance(n, float) and not n.is_integer():
+            raise ValueError
+        n = int(n)
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise SpecFormatError("spec requires an integer field 'n'") from None
     if n < 3:
         raise SpecFormatError(f"n must be >= 3, got {n}")
@@ -130,15 +133,13 @@ def spec_from_dict(data):
             not isinstance(r, list) or len(r) != m for r in om_rows
         ):
             raise SpecFormatError(f"omega must be {m}x{m}")
-        omega = [[_parse_rational(x) for x in row] for row in om_rows]
+        omega = tuple(tuple(_parse_rational(x) for x in row) for row in om_rows)
     else:
-        omega = graded_sp.standard_omega(m)
-    for i in range(m):
-        for j in range(m):
-            if omega[i][j] != -omega[j][i]:
-                raise SpecFormatError("omega must be skew-symmetric")
-    if exact_rank(omega) != m:
-        raise SpecFormatError("omega must be nondegenerate")
+        omega = tuple(map(tuple, graded_sp.standard_omega(m)))
+    try:
+        graded_sp.omega_upper(omega)
+    except ValueError as e:
+        raise SpecFormatError(str(e)) from None
     variables = fm.projective_chart(n).names
     try:
         c_expr = ex.parse(str(data.get("C", "1")), variables)
@@ -154,7 +155,7 @@ def spec_from_dict(data):
         raise SpecFormatError("C must not vanish identically")
     for name, e in [("C", c_expr), ("f0", f0_expr)] + [(f"f[{i}]", e) for i, e in enumerate(f_exprs)]:
         _reject_constant_zero_divisor(name, e)
-    return ODESpec(n, tuple(tuple(row) for row in omega), c_expr, f0_expr, f_exprs)
+    return ODESpec(n, omega, c_expr, f0_expr, f_exprs)
 
 
 def _reject_constant_zero_divisor(name, e):
@@ -221,8 +222,7 @@ class Geometry:
         self.n = spec.n
         self.m = spec.m
         self.chart = spec.chart()
-        self.omega = [list(row) for row in spec.omega]
-        self.omega_upper = [[-v for v in row] for row in exact_inverse(self.omega)]
+        self.omega = spec.omega
         # The ring is settled here, once: Polynomial when C is a constant and
         # C, f0 and every f are polynomial, expression trees otherwise.
         exprs = (spec.C, spec.f0, *spec.f)
@@ -232,8 +232,8 @@ class Geometry:
         self.polynomial = c_const and None not in polys
         # C = 0 never loads (spec_from_dict); C = 1 is the case inv = 1
         inv = 1 / c.constant_value() if c_const else None
-        self.frame = fm.frame(self.n, self.omega)
-        self.coframe = fm.coframe(self.n, self.omega)
+        frames = fm._frame_and_coframe if self.polynomial else fm._tree_frame_and_coframe
+        self.frame, self.coframe = frames(self.n, self.omega)
         if self.polynomial:
             self.raw = tuple(polys)
             self.zero = Polynomial()
@@ -251,8 +251,6 @@ class Geometry:
             else:
                 # general C: torsion data lives on the normalized span of X
                 hat = [e / spec.C for e in exprs[1:]]
-            self.frame = {k: v.map(ex.poly_to_expr) for k, v in self.frame.items()}
-            self.coframe = {k: v.map(ex.poly_to_expr) for k, v in self.coframe.items()}
         self.f0_hat, *self.f_hat = hat
         self.a_fields = [self.frame[f"A{i}"] for i in range(1, self.m + 1)]
         self.e_fields = [self.frame[f"E{i}"] for i in range(1, self.m + 1)]
@@ -431,7 +429,7 @@ class Geometry:
 
     def raise_index(self, vec):
         """tau^i = omega^{ip} tau_p with omega^{ip} omega_{pj} = -delta^i_j."""
-        return fm.contract(self.omega_upper, vec, self.zero)
+        return fm.contract(graded_sp.omega_upper(self.omega), vec, self.zero)
 
     def eval_field(self, field, point):
         vals = field.evaluate(self.chart, point)

@@ -16,7 +16,8 @@ geometry.  Every non-constant entry of the frame, the coframe and the
 Grassmannian forms is an omega-contraction such as omega_ip u^p, computed once
 per function by `contract`.  Components may also be expression trees, which
 answer the same ring interface (`is_zero`, `variables`, `diff`, `evaluate`);
-the engine maps the polynomial frame to trees for non-polynomial specs.
+the frame and coframe are mapped to trees once per (n, omega), for the
+engine's non-polynomial geometries.
 """
 
 import functools
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from . import exactlinalg as ela
 from .errors import UnsupportedDimensionError
-from .expr import Num
+from .expr import Num, poly_to_expr
 from .graded_sp import negative_names, negative_part, standard_omega
 from .poly import Polynomial
 
@@ -413,6 +414,14 @@ def _frame_and_coframe(n, omega):
                 comps[var] = comps[var] + term if var in comps else term
         forms[ckey] = OneForm(comps)
     return types.MappingProxyType(fields), types.MappingProxyType(forms)
+
+
+@functools.lru_cache(maxsize=16)
+def _tree_frame_and_coframe(n, omega):
+    """`_frame_and_coframe` with expression-tree components, for geometries
+    in that ring: mapped once per (n, omega) and read-only."""
+    return tuple(types.MappingProxyType({k: v.map(poly_to_expr) for k, v in part.items()})
+                 for part in _frame_and_coframe(n, omega))
 
 
 def _key(n, omega):

@@ -13,11 +13,13 @@ omega_{ij}.  The two scaling elements are the diagonal matrices
 and the bidegree of a basis element is its pair of ad-eigenvalues.  Lowercase
 Latin indices are raised and lowered with omega_{ij} via x_i = x^p omega_{pi}
 and omega^{ip} omega_{pj} = -delta^i_j; every torsion formula downstream
-relies on exactly these conventions.
+relies on exactly these conventions.  `omega_upper` is the one place omega is
+checked and inverted, once per omega.
 
 All arithmetic in this module is exact; there is no tolerance anywhere.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +40,24 @@ def standard_omega(m):
         w[i][k + i] = Fraction(1)
         w[k + i][i] = Fraction(-1)
     return w
+
+
+@functools.lru_cache(maxsize=16)
+def omega_upper(omega):
+    """omega^{ij} = -omega^{-1}, so that omega^{ip} omega_{pj} = -delta^i_j,
+    for a middle form omega given as a tuple of Fraction rows; read-only.
+
+    This is the one place omega is decided: a ValueError says it is not
+    skew-symmetric, or not nondegenerate (it has no inverse).  Decided and
+    inverted once per omega."""
+    m = len(omega)
+    if any(omega[i][j] != -omega[j][i] for i in range(m) for j in range(m)):
+        raise ValueError("omega must be skew-symmetric")
+    try:
+        inv = ela.inverse([list(r) for r in omega])
+    except ZeroDivisionError:
+        raise ValueError("omega must be nondegenerate") from None
+    return _freeze(ela.scalarmul(-1, inv))
 
 
 @dataclass(frozen=True)
@@ -134,24 +154,13 @@ class GradedLieAlgebra:
         m = 2 * n - 4
         self.m = m
         self.omega = _freeze(standard_omega(m) if omega is None else omega)
-        self._check_omega()
-        # omega^{ij} with omega^{ip} omega_{pj} = -delta^i_j
-        self.omega_upper = _freeze(ela.scalarmul(-1, ela.inverse([list(r) for r in self.omega])))
+        self.omega_upper = omega_upper(self.omega)
         self.symplectic_form = _freeze(self._big_omega())
         self.basis = self._build_basis()
         self.index = {b.name: i for i, b in enumerate(self.basis)}
         self._index_basis()
 
     # --- construction ------------------------------------------------------
-    def _check_omega(self):
-        m = self.m
-        for i in range(m):
-            for j in range(m):
-                if self.omega[i][j] != -self.omega[j][i]:
-                    raise ValueError("omega must be skew-symmetric")
-        if m and ela.rank([list(r) for r in self.omega]) != m:
-            raise ValueError("omega must be nondegenerate")
-
     def _big_omega(self):
         n, m = self.n, self.m
         d = 2 * n
@@ -183,71 +192,46 @@ class GradedLieAlgebra:
             transposed = {(c, r): v for (r, c), v in entries.items()}
             basis.append(_element(pos, transposed, (-bideg[0], -bideg[1])))
 
-        # g_{0,0}: two grading directions plus the middle sp(m) block
+        # g_{0,0}: two grading directions plus the middle sp(omega) block.  X
+        # is in sp(omega) iff omega X is symmetric, so s_k = omega^{-1}(E_ij +
+        # E_ji), i <= j, spans it exactly; omega^{-1} = -omega^{ij}, and
+        # omega^{-1} E_ij is column i of omega^{-1} placed in column j
         basis.append(_element("h_c", {(0, 0): 1, (d - 1, d - 1): -1}, (0, 0)))
         basis.append(_element("h_d", {(1, 1): 1, (d - 2, d - 2): -1}, (0, 0)))
-        for i, middle in enumerate(self._middle_sp_basis()):
-            basis.append(_element(f"s{i + 1}", middle, (0, 0)))
-        return basis
-
-    def _middle_sp_basis(self):
-        """Basis of sp(omega) on the middle block, as {(row, col): value}
-        entries at their place in the 2n x 2n matrix.
-
-        X is in sp(omega) iff omega X is symmetric, so omega^{-1} applied to
-        the standard symmetric basis spans it exactly: omega^{-1} times
-        E_ij + E_ji adds column i of omega^{-1} to column j and column j of
-        omega^{-1} to column i.
-        """
-        m = self.m
-        if m == 0:
-            return []
-        om_inv = ela.inverse([list(r) for r in self.omega])
-        basis = []
-        for i in range(m):
-            for j in range(i, m):
-                x = {}
-                for r in range(m):
-                    _add(x, (2 + r, 2 + j), om_inv[r][i])
-                    _add(x, (2 + r, 2 + i), om_inv[r][j])
-                basis.append(x)
+        self._s_pairs = [(i, j) for i in range(self.m) for j in range(i, self.m)]
+        for k, (i, j) in enumerate(self._s_pairs, start=1):
+            x = {}
+            for r, row in enumerate(self.omega_upper):
+                _add(x, (2 + r, 2 + j), -row[i])
+                _add(x, (2 + r, 2 + i), -row[j])
+            basis.append(_element(f"s{k}", x, (0, 0)))
         return basis
 
     def _index_basis(self):
-        """Position index and inverted Gram blocks of the trace form.
+        """Where `_expand_sparse` reads each coefficient of a matrix M:
+        `_reads[(r, c)]` lists (i, w), coefficient_i = sum w * M[r][c].
 
-        `_at[(c, r)]` lists (j, B_j[r][c]), so the trace pairings
-        tr(B_j M) = sum B_j[r][c] M[c][r] of a sparse M are read off its
-        nonzero entries alone.  tr(XY) pairs g_I with g_{-I} only, so
-        coefficient extraction reduces to block solves: `_solve_col[j]`
-        lists (i, w) with coefficient_i = sum_j w * tr(B_j M), the nonzero
-        entries of column j of the inverted Gram block of B_j's component.
+        A g_- or g_+ element is read at its lead, its first entry, with value
+        1, where no other basis element is nonzero (`negative_part`; the g_+
+        leads are the transposes of those of `negative_part(n, omega^{ij})`).
+        h_c is half of M[0][0] - M[d-1][d-1] and h_d half of M[1][1] -
+        M[d-2][d-2].  s_k = omega^{-1}(E_ij + E_ji) is read as (omega X)_ij
+        = sum_p omega_ip X_pj of the middle block X, halved when i = j.  The
+        positions are rebuilt from `basis` on each call.
         """
-        self._at = {}
-        for j, b in enumerate(self.basis):
-            for r, c, v in b.entries:
-                self._at.setdefault((c, r), []).append((j, v))
-        groups = {}
+        d = 2 * self.n
+        self._reads = {}
         for i, b in enumerate(self.basis):
-            groups.setdefault(b.bidegree, []).append(i)
-        self._solve_col = {}
-        for bideg, idxs in groups.items():
-            dual_idxs = groups.get((-bideg[0], -bideg[1]))
-            if dual_idxs is None:
-                raise InconsistencyError(f"no dual component for bidegree {bideg}")
-            # rows indexed by the dual component so that c = gram^{-1} rhs
-            pairings = [self._pairings({(r, c): v for r, c, v in self.basis[i].entries}) for i in idxs]
-            inv_gram = ela.inverse([[p.get(j, 0) for p in pairings] for j in dual_idxs])
-            for col, j in enumerate(dual_idxs):
-                self._solve_col[j] = [(i, row[col]) for row, i in zip(inv_gram, idxs) if row[col]]
-
-    def _pairings(self, entries):
-        """{j: tr(B_j M)} over the nonzero pairings of M = {(r, c): value}."""
-        out = {}
-        for pos, value in entries.items():
-            for j, v in self._at.get(pos, ()):
-                _add(out, j, v * value)
-        return out
+            if b.bidegree != (0, 0):
+                self._reads[b.entries[0][:2]] = [(i, Fraction(1))]
+        half = Fraction(1, 2)
+        for name, (r, c) in (("h_c", (0, d - 1)), ("h_d", (1, d - 2))):
+            self._reads[(r, r)] = [(self.index[name], half)]
+            self._reads[(c, c)] = [(self.index[name], -half)]
+        for k, (i, j) in enumerate(self._s_pairs, start=self.index["h_d"] + 1):
+            for p, w in enumerate(self.omega[i]):
+                if w:
+                    self._reads.setdefault((2 + p, 2 + j), []).append((k, w / 2 if i == j else w))
 
     # --- basic queries -------------------------------------------------------
     @property
@@ -284,12 +268,12 @@ class GradedLieAlgebra:
         )
 
     def _expand_sparse(self, entries):
-        """Expand M = {(r, c): nonzero value}; the trace pairings come from
-        M's nonzero entries and only the Gram blocks they meet are solved."""
+        """Expand M = {(r, c): nonzero value}: each coefficient is read off
+        M's entries at the positions `_index_basis` records."""
         coeffs = {}
-        for j, rhs in self._pairings(entries).items():
-            for i, w in self._solve_col[j]:
-                _add(coeffs, i, w * rhs)
+        for pos, value in entries.items():
+            for i, w in self._reads.get(pos, ()):
+                _add(coeffs, i, w * value)
         # full verification: the reconstruction must reproduce the input
         recon = {}
         for i, coef in coeffs.items():

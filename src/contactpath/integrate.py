@@ -194,6 +194,8 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12):
         if len(init) != chart.dim:
             raise ValueError(f"init must supply {chart.dim} coordinates")
         state = [float(v) for v in init]
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if adaptive and atol == 0 and rtol == 0:

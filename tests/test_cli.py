@@ -130,6 +130,15 @@ def test_ranks_subcommand(tmp_path, capsys):
     assert out.count("ok:") == 3
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_ranks_count_below_one_is_a_usage_error(tmp_path, capsys, count):
+    # it checked no point, printed only the expected line and exited 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    code, out, err = run_cli(["ranks", str(spec), "--count", count], capsys)
+    assert (code, out, err) == (2, "", "--count must be at least 1\n")
+
+
 def test_ranks_at_a_pole_of_c_is_a_degenerate_point(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text('{"n": 3, "C": "1/u1", "f0": "0", "f": ["0", "0"]}')
@@ -399,6 +408,21 @@ def test_integrate_reversed_interval_is_a_usage_error(tmp_path, capsys):
     assert err == "--t1 must exceed --t0\n"
 
 
+@pytest.mark.parametrize("bounds", [["--t1", "nan"], ["--t0", "nan"], ["--t1", "inf"], ["--t0=-inf"]])
+def test_integrate_non_finite_interval_is_a_usage_error(tmp_path, capsys, bounds):
+    # --t1 nan wrote a one-row CSV and exited 0; --t1 inf exited 1 with a
+    # step size underflow
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3", *bounds, "-o", str(out_csv)],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "--t0 and --t1 must be finite\n")
+    assert not out_csv.exists()
+
+
 def test_integrate_blow_up_is_a_verification_failure(tmp_path, run_python):
     # u1' = u1^3 from u1 = 0.4 blows up at t = 3.125; no CSV of inf and nan
     spec = tmp_path / "spec.json"
@@ -436,6 +460,8 @@ def test_integrate_step_underflow_is_a_verification_failure(tmp_path, capsys):
     '{"n": 3, "f0": "u1*(2 - 2)^-1", "f": ["0", "0"]}',
     # a divisor with variables that is the zero polynomial
     '{"n": 3, "f0": "u1/(x1 - x1)", "f": ["0", "0"]}',
+    # a non-integral n, which was truncated to 3
+    '{"n": 3.9, "f0": "0", "f": ["0", "0"]}',
 ])
 def test_malformed_spec_is_a_usage_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"

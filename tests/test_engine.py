@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,8 +12,10 @@ import pytest
 
 import contactpath
 from contactpath import engine
+from contactpath import exactlinalg as ela
 from contactpath import expr as ex
 from contactpath import flat_model as fm
+from contactpath import graded_sp
 from contactpath.engine import (
     RankTable,
     TorsionReport,
@@ -92,6 +96,14 @@ def test_spec_validation_errors():
         spec_from_dict({"n": 3, "f0": "q9 + 1", "f": ["0", "0"]})
 
 
+def test_integral_n_loads_in_any_json_form():
+    for n in (3, "3", 3.0):
+        assert spec_from_dict({"n": n, "f0": "0", "f": ["0", "0"]}).n == 3
+    for n in (3.9, float("inf"), float("nan"), "3.9"):
+        with pytest.raises(SpecFormatError, match="integer field 'n'"):
+            spec_from_dict({"n": n, "f0": "0", "f": ["0", "0"]})
+
+
 def test_load_spec_round_trip(tmp_path):
     import json
 
@@ -130,6 +142,38 @@ def test_specs_with_one_n_and_omega_share_a_read_only_frame():
     misses = fm._frame_and_coframe.cache_info().misses
     assert fm.coframe(5, standard_omega(6)) is cf
     assert fm._frame_and_coframe.cache_info().misses == misses
+
+
+def test_omega_is_inverted_once_and_tree_frames_are_shared(monkeypatch):
+    # an omega no other test uses, so that its inverse is not cached yet
+    omega = [["0", "5/7"], ["-5/7", "0"]]
+    exact = [[Fraction(x) for x in row] for row in omega]
+    calls = []
+    inverse = ela.inverse
+
+    def counting(a):
+        if [list(map(Fraction, row)) for row in a] == exact:
+            calls.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(ela, "inverse", counting)
+    a = spec_from_dict({"n": 3, "omega": omega, "f0": "sin(u1)*x1", "f": ["exp(u2/4)", "u1*z"]})
+    b = spec_from_dict({"n": 3, "omega": omega, "f0": "cos(x2)", "f": ["u1", "log(1 + u2^2)"]})
+    graded_sp.build(3, omega=exact)
+    for spec in (a, b):
+        torsion_free_representative(spec)  # raises the index of tau with omega^{ij}
+    assert len(calls) == 1
+    # both non-polynomial geometries read one read-only tree frame and coframe
+    ga, gb = geometry(a), geometry(b)
+    assert not ga.polynomial and not gb.polynomial
+    assert ga.frame is gb.frame and ga.coframe is gb.coframe
+    assert all(isinstance(comp, ex.Expr) for part in (ga.frame, ga.coframe)
+               for field in part.values() for comp in field.components.values())
+    with pytest.raises(TypeError):
+        ga.frame["A1"] = ga.frame["A2"]
+    with pytest.raises(TypeError):
+        ga.coframe["theta1"] = ga.coframe["theta2"]
+    assert ga.frame is not fm.frame(3, exact)
 
 
 def test_flat_generating_field_is_the_horizontal_generator():
@@ -750,3 +794,57 @@ def test_nu_form_independent_of_hash_seed():
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+# --- pinned pointwise floats on tree geometries ----------------------------------------
+
+_PINNED_SPECS = [
+    {"n": 3, "f0": "sin(u1)*x1 + u2^2", "f": ["exp(u2/4) + x1", "u1*z"]},
+    {"n": 3, "C": "1 + u1^2", "f0": "u1*u2", "f": ["x2", "0"]},
+    {"n": 3, "f0": "0.5*u1*u2 + exp(0.25*x1)", "f": ["1.25*x2", "0.75*sin(u1)"]},
+    {"n": 4, "omega": [[0, "1/2", 0, 1], ["-1/2", 0, 3, 0], [0, -3, 0, -1], [-1, 0, 1, 0]],
+     "f0": "cos(x1)*u2 + u1*u3", "f": ["log(1 + u4^2)", "x3", "0.5*u1", "0"]},
+]
+
+
+def _canonical(value):
+    """A text form of a check's result that tells every float by its bits."""
+    if isinstance(value, (bool, np.bool_)):
+        return repr(bool(value))
+    if isinstance(value, (int, np.integer, Fraction)):
+        return f"{type(value).__name__}:{value}"
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items()) + "}"
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__ + _canonical([getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, str):
+        return repr(value)
+    return "[" + ",".join(_canonical(v) for v in value) + "]"
+
+
+def test_pointwise_floats_on_tree_geometries_pinned():
+    # sha256 of every result, bit for bit, of the nine float-point checks and
+    # torsion_point_reduction, on transcendental, variable-C and
+    # decimal-literal specs and their torsion-free representatives at seeded
+    # points; a refused point is recorded by its exception's name
+    checks = [
+        filtration_ranks, engine.semiregular_ranks, vertical_escape,
+        lambda spec, pt: skew_complement_W(spec, pt, Fraction(1), Fraction(2)),
+        partial_uw_vectors, secondary_torsion, characteristic_system_test,
+        adapted_frame_check, torsion_obstruction_values, torsion_point_reduction,
+    ]
+    digest = hashlib.sha256()
+    for data in _PINNED_SPECS:
+        spec = spec_from_dict(data)
+        for s in (spec, torsion_free_representative(spec)):
+            assert not geometry(s).polynomial
+            for pt in seeded_points(s, 2, seed=11):
+                for check in checks:
+                    try:
+                        out = _canonical(check(s, pt))
+                    except (DegeneratePointError, TorsionPreconditionError) as e:
+                        out = type(e).__name__
+                    digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == "85c1ab4307f5fb431e0240fcfe1bd3922f3e833883f7945629ee24b9e80871ad"

@@ -154,6 +154,48 @@ def test_structure_constants_negative_control():
     assert any(not ok for _, ok in results)
 
 
+PREMISE_ALGEBRAS = [(n, None) for n in range(3, 7)] + [(len(om) // 2 + 2, om) for om in RATIONAL_OMEGAS]
+
+
+@pytest.mark.parametrize("n, omega", PREMISE_ALGEBRAS, ids=["n3", "n4", "n5", "n6", "omega-n3", "omega-n4"])
+def test_each_coefficient_is_read_where_only_its_element_is(n, omega):
+    g = build(n, omega=omega)
+    # a g_- or g_+ element is 1 at its first entry, where no other is nonzero
+    for b in g.basis:
+        if b.bidegree != (0, 0):
+            r, c, v = b.entries[0]
+            assert v == 1, b.name
+            touching = [o.name for o in g.basis if (r, c) in {e[:2] for e in o.entries}]
+            assert touching == [b.name]
+    # the reads of `_index_basis` give each basis element the coefficient
+    # 1 on itself and 0 on every other element, h and s included
+    for j, b in enumerate(g.basis):
+        read = {}
+        for r, c, v in b.entries:
+            for i, w in g._reads.get((r, c), ()):
+                read[i] = read.get(i, 0) + w * v
+        assert {i: x for i, x in read.items() if x} == {j: 1}, b.name
+
+
+@pytest.mark.parametrize("parabolic", ["P1", "P2"])
+def test_n2_brackets_and_expansion_match_the_matrix_commutator(parabolic, rng):
+    # at n = 2 the middle block is empty: only g_-, g_+, h_c and h_d
+    g = build(2, parabolic)
+    names = [b.name for b in g.basis]
+    assert not any(nm.startswith("s") for nm in names)
+    for na in names:
+        a = g.element_matrix({na: 1})
+        for nb in names:
+            b = g.element_matrix({nb: 1})
+            want = ela.matsub(ela.matmul(a, b), ela.matmul(b, a))
+            assert ela.mat_eq(g.element_matrix(g.bracket_names(na, nb)), want), (na, nb)
+    for _ in range(20):
+        x = {nm: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for nm in rng.sample(names, 4)}
+        assert g.expand(g.element_matrix(x)) == {nm: v for nm, v in x.items() if v}
+    with pytest.raises(InconsistencyError, match=r"\(entry 0,0\)$"):
+        g.expand(ela.identity(4))
+
+
 def test_expand_rejects_outside_span():
     g = build(3)
     bad = ela.zeros(6, 6)

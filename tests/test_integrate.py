@@ -257,6 +257,14 @@ def test_fixed_step_reaches_the_end_of_the_interval():
     assert abs(traj.t[-1] - 10.0) < 1e-12
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (float("nan"), 1.0), (0.0, float("inf")),
+                                    (float("-inf"), 1.0)])
+def test_non_finite_interval_is_refused(t0, t1):
+    # nan compares false with everything, so `t1 <= t0` alone let it through
+    with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+        integrate(flat_spec(3), INIT3, t0, t1, 1e-2)
+
+
 def test_adaptive_mode_needs_a_tolerance():
     with pytest.raises(ValueError):
         integrate(flat_spec(3), INIT3, 0.0, 1.0, 0.1, adaptive=True, rtol=0.0, atol=0.0)
