@@ -39,7 +39,7 @@ def _fail(msg):
 
 # --- homology ----------------------------------------------------------------
 
-_CROSS_TO_PARABOLIC = {(1,): "P1", (2,): "P2", (1, 2): "P12"}
+_CROSS_TO_PARABOLIC = {nodes: name for name, nodes in kostant.PARABOLIC_NODES.items()}
 
 
 def _housing_str(housing):
@@ -272,6 +272,8 @@ def cmd_integrate(args):
         return _fail("--t0 and --t1 must be finite")
     if args.t1 <= args.t0:
         return _fail("--t1 must exceed --t0")
+    if not (math.isfinite(args.step) and args.step >= 0):
+        return _fail("--step must be finite and non-negative")
     try:
         traj = integrate_mod.integrate(
             spec, init, args.t0, args.t1, args.step, adaptive=args.adaptive

@@ -1,15 +1,13 @@
-"""Small dense linear algebra over exact rationals.
+"""Small linear algebra over exact rationals, dense and sparse.
 
-Matrices are lists of lists of Fraction (or int, coerced on entry).  Sizes in
-this package stay below ~150 rows, so plain Gauss-Jordan elimination over
-Fractions is plenty fast and keeps every result exact.
+A dense matrix is a list of lists of Fraction (or int, coerced on entry).
+Sizes in this package stay below ~150 rows, so plain Gauss-Jordan
+elimination over Fractions is plenty fast and keeps every result exact.  A
+sparse matrix is a list of its (row, col, value) entries, and a sparse
+product is a {(row, col): value} dict without zeros.
 """
 
 from fractions import Fraction
-
-
-def fmat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def zeros(r, c):
@@ -56,8 +54,27 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
+def sparse_add(out, key, value):
+    """out[key] += value, keeping only nonzero entries."""
+    s = out.get(key, 0) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def sparse_mul(a_entries, b_entries):
+    """Product of two matrices given as (row, col, value) entries, where a
+    position may repeat and its values add, as a {(row, col): value} dict
+    without zeros."""
+    b_by_row = {}
+    for r, c, v in b_entries:
+        b_by_row.setdefault(r, []).append((c, v))
+    out = {}
+    for r, k, va in a_entries:
+        for c, vb in b_by_row.get(k, ()):
+            sparse_add(out, (r, c), va * vb)
+    return out
 
 
 def is_zero_matrix(a):
@@ -111,7 +128,7 @@ def rank(a):
 def inverse(a):
     n = len(a)
     ident = identity(n)
-    aug = [row + ident[i] for i, row in enumerate(fmat(a))]
+    aug = [list(row) + ident[i] for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlinalg as ela
+from . import squat
 from .errors import UnsupportedDimensionError
 from .expr import Num, poly_to_expr
 from .graded_sp import negative_names, negative_part, standard_omega
@@ -637,53 +638,51 @@ def efj_identity_check(n):
     """Exact residuals for the endomorphism identities on the k = 2 chart.
 
     Returns a dict of named residual magnitudes (max abs over entries); all
-    must be exactly zero.
+    must be exactly zero.  Matrices on the spanning fields (i, a), ordered by
+    a, then i, are kept as (row, col, value) entries: E, F and J are
+    `squat.matrix_rep` of e, f and j (x) I_w, and g is [[0, 1], [-1, 0]] (x)
+    omega.
     """
     if n < 3:
         raise UnsupportedDimensionError("k = 2 chart requires n >= 3")
-    k = 2
-    w = 2 * (n - k)
+    w = 2 * (n - 2)
+
+    def kron(m2, block):
+        # the 2x2 matrix m2 (x) block, for block a {(i, j): value} dict
+        return [(a * w + i, b * w + j, x * y) for a, row in enumerate(m2)
+                for b, x in enumerate(row) if x for (i, j), y in block.items()]
+
+    def mul(a, b):
+        return [(r, c, v) for (r, c), v in ela.sparse_mul(a, b).items()]
+
+    def residual(*terms):
+        # max |entry| of the sum of the (sign, entries) terms
+        total = {}
+        for sign, entries in terms:
+            for r, c, v in entries:
+                ela.sparse_add(total, (r, c), sign * v)
+        return Fraction(max(map(abs, total.values()), default=0))
+
+    ident = {(i, i): 1 for i in range(w)}
+    E, F, J = (kron(squat.matrix_rep(q), ident) for q in (squat.E, squat.F, squat.J))
+    one = kron(((1, 0), (0, 1)), ident)
     om = standard_omega(w)
-    qk = qk_forms(n, k)
-    idx = [(i, a) for a in (1, 2) for i in range(1, w + 1)]
-    pos = {ia: r for r, ia in enumerate(idx)}
-    size = len(idx)
-
-    eta_upper = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
-    g = [[eta_upper[(a, b)] * om[i - 1][j - 1] for (j, b) in idx] for (i, a) in idx]
-
-    def endo(matrix_action):
-        out = ela.zeros(size, size)
-        for (i, a), r in pos.items():
-            for (target, coeff) in matrix_action(i, a):
-                out[pos[target]][r] += coeff
-        return out
-
-    E = endo(lambda i, a: [((i, 3 - a), 1)])
-    F = endo(lambda i, a: [((i, a), 1 if a == 1 else -1)])
-    J = endo(lambda i, a: [((i, 3 - a), 1 if a == 1 else -1)])
-    one = ela.identity(size)
-
-    def residual(M):
-        return max((abs(x) for row in M for x in row), default=Fraction(0))
-
-    def g_of(A):
-        # g(A . , . ): entry (r, c) = g(A v_r, v_c)
-        return ela.matmul(ela.transpose(A), g)
-
-    omega = _origin_grams(qk)
-    gE, gF, gJ = g_of(E), g_of(F), g_of(J)
+    g = kron(((0, 1), (-1, 0)), {(i, j): v for i, row in enumerate(om) for j, v in enumerate(row) if v})
+    # g(A . , . ), with entry (r, c) = g(A v_r, v_c), is the product A^T g
+    gE, gF, gJ = (mul([(c, r, v) for r, c, v in A], g) for A in (E, F, J))
+    omega = {key: [(r, c, v) for r, row in enumerate(gram) for c, v in enumerate(row) if v]
+             for key, gram in _origin_grams(qk_forms(n, 2)).items()}
     return {
-        "E^2 - I": residual(ela.matsub(ela.matmul(E, E), one)),
-        "F^2 - I": residual(ela.matsub(ela.matmul(F, F), one)),
-        "J^2 + I": residual(ela.matadd(ela.matmul(J, J), one)),
-        "EF - J": residual(ela.matsub(ela.matmul(E, F), J)),
-        "g(E.,E.) + g": residual(ela.matadd(ela.matmul(gE, E), g)),
-        "g(F.,F.) + g": residual(ela.matadd(ela.matmul(gF, F), g)),
-        "g(J.,J.) - g": residual(ela.matsub(ela.matmul(gJ, J), g)),
-        "Omega12 - g(F.,.)": residual(ela.matsub(omega[(1, 2)], gF)),
-        "Omega11 + g(E.,.) + g(J.,.)": residual(ela.matadd(ela.matadd(omega[(1, 1)], gE), gJ)),
-        "Omega22 - g(E.,.) + g(J.,.)": residual(ela.matadd(ela.matsub(omega[(2, 2)], gE), gJ)),
+        "E^2 - I": residual((1, mul(E, E)), (-1, one)),
+        "F^2 - I": residual((1, mul(F, F)), (-1, one)),
+        "J^2 + I": residual((1, mul(J, J)), (1, one)),
+        "EF - J": residual((1, mul(E, F)), (-1, J)),
+        "g(E.,E.) + g": residual((1, mul(gE, E)), (1, g)),
+        "g(F.,F.) + g": residual((1, mul(gF, F)), (1, g)),
+        "g(J.,J.) - g": residual((1, mul(gJ, J)), (-1, g)),
+        "Omega12 - g(F.,.)": residual((1, omega[(1, 2)]), (-1, gF)),
+        "Omega11 + g(E.,.) + g(J.,.)": residual((1, omega[(1, 1)]), (1, gE), (1, gJ)),
+        "Omega22 - g(E.,.) + g(J.,.)": residual((1, omega[(2, 2)]), (-1, gE), (1, gJ)),
     }
 
 

@@ -86,28 +86,6 @@ def _element(name, entries, bidegree):
     return BasisElement(name, nonzero, bidegree)
 
 
-def _add(out, key, value):
-    """out[key] += value, keeping only nonzero entries."""
-    s = out.get(key, 0) + value
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def _sparse_mul(a_entries, b_entries):
-    """Product of two matrices given as (row, col, value) entries, as a
-    {(row, col): value} dict without zeros."""
-    b_by_row = {}
-    for r, c, v in b_entries:
-        b_by_row.setdefault(r, []).append((c, v))
-    out = {}
-    for r, k, va in a_entries:
-        for c, vb in b_by_row.get(k, ()):
-            _add(out, (r, c), va * vb)
-    return out
-
-
 def negative_names(n):
     """Names of the g_- basis: t(-1,0), a_i, e_i, then the three t's."""
     m = 2 * n - 4
@@ -202,8 +180,8 @@ class GradedLieAlgebra:
         for k, (i, j) in enumerate(self._s_pairs, start=1):
             x = {}
             for r, row in enumerate(self.omega_upper):
-                _add(x, (2 + r, 2 + j), -row[i])
-                _add(x, (2 + r, 2 + i), -row[j])
+                ela.sparse_add(x, (2 + r, 2 + j), -row[i])
+                ela.sparse_add(x, (2 + r, 2 + i), -row[j])
             basis.append(_element(f"s{k}", x, (0, 0)))
         return basis
 
@@ -273,12 +251,12 @@ class GradedLieAlgebra:
         coeffs = {}
         for pos, value in entries.items():
             for i, w in self._reads.get(pos, ()):
-                _add(coeffs, i, w * value)
+                ela.sparse_add(coeffs, i, w * value)
         # full verification: the reconstruction must reproduce the input
         recon = {}
         for i, coef in coeffs.items():
             for r, c, v in self.basis[i].entries:
-                _add(recon, (r, c), coef * v)
+                ela.sparse_add(recon, (r, c), coef * v)
         if recon != entries:
             r, c = min(k for k in recon.keys() | entries.keys() if recon.get(k, 0) != entries.get(k, 0))
             raise InconsistencyError(f"matrix is not in the span of the basis (entry {r},{c})")
@@ -296,9 +274,9 @@ class GradedLieAlgebra:
         """Bracket of two elements given as name->coefficient dicts."""
         entries_a = self._entries(a)
         entries_b = self._entries(b)
-        ab = _sparse_mul(entries_a, entries_b)
-        for key, v in _sparse_mul(entries_b, entries_a).items():
-            _add(ab, key, -v)
+        ab = ela.sparse_mul(entries_a, entries_b)
+        for key, v in ela.sparse_mul(entries_b, entries_a).items():
+            ela.sparse_add(ab, key, -v)
         return self._expand_sparse(ab)
 
     def bracket_names(self, name_a, name_b):
@@ -341,7 +319,7 @@ class GradedLieAlgebra:
 
     def killing(self, a, b):
         """Killing form B(X, Y) = (2n + 2) tr(XY) on coefficient dicts."""
-        xy = _sparse_mul(self._entries(a), self._entries(b))
+        xy = ela.sparse_mul(self._entries(a), self._entries(b))
         return (2 * self.n + 2) * sum((v for (r, c), v in xy.items() if r == c), Fraction(0))
 
     # --- G0 action ---------------------------------------------------------------
@@ -405,11 +383,11 @@ class GradedLieAlgebra:
                 for ta, ca in img(nm_a).items():
                     for tb, cb in img(nm_b).items():
                         for t, c in self.bracket_names(ta, tb).items():
-                            _add(lhs, t, ca * cb * c)
+                            ela.sparse_add(lhs, t, ca * cb * c)
                 rhs = {}
                 for t, c in self.bracket_names(nm_a, nm_b).items():
                     for t2, c2 in img(t).items():
-                        _add(rhs, t2, c * c2)
+                        ela.sparse_add(rhs, t2, c * c2)
                 if lhs != rhs:
                     return None, f"bracket relation fails on ({nm_a}, {nm_b})"
 

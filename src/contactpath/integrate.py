@@ -11,8 +11,8 @@ equal to walking the spec's expression trees.  A fixed step makes four
 right-hand-side calls: the call at the new state, which checks that C has
 not vanished, is the next step's first stage.  The per-sample residual
 columns are computed after the fact, for all samples at once, from a
-five-point finite difference estimate of the velocity, so they converge at
-the same fourth order as the scheme itself.
+five-point finite difference estimate of the velocity (fewer on a shorter
+path), so they converge at the same fourth order as the scheme itself.
 
 A step runs on lists of Python floats.  Each stage and the final combination
 apply the operations of the array form `state + 0.5 * h * k1`,
@@ -132,32 +132,31 @@ def _residuals(spec, ts, states):
     """Contact pairings of the finite-difference velocity, per sample.
 
     Each sample's velocity is the derivative at its time of the Lagrange
-    interpolant through the five nearest samples, evaluated for all samples
-    at once."""
+    interpolant through the min(5, N) nearest of the N samples, evaluated
+    for all samples at once."""
     npts = len(ts)
-    if npts < 5:
-        return np.zeros(npts), np.zeros(npts)
-    lo = np.minimum(np.maximum(np.arange(npts) - 2, 0), npts - 5)
-    nodes = lo[:, None] + np.arange(5)
+    k = min(5, npts)
+    lo = np.minimum(np.maximum(np.arange(npts) - 2, 0), npts - k)
+    nodes = lo[:, None] + np.arange(k)
     T = ts[nodes]
-    W = np.zeros((npts, 5))
-    for i in range(5):
+    W = np.zeros((npts, k))
+    for i in range(k):
         # derivative at ts of the i-th Lagrange basis polynomial
         total = np.zeros(npts)
         denom = np.ones(npts)
-        for j in range(5):
+        for j in range(k):
             if j != i:
                 denom *= T[:, i] - T[:, j]
-        for j in range(5):
+        for j in range(k):
             if j == i:
                 continue
             prod = np.ones(npts)
-            for l in range(5):
+            for l in range(k):
                 if l != i and l != j:
                     prod *= ts - T[:, l]
             total += prod
         W[:, i] = total / denom
-    # stacked 1x5 by 5xdim products, bitwise the per-sample `w @ S`
+    # stacked 1xk by kxdim products, bitwise the per-sample `w @ S`
     vel = np.matmul(W[:, None, :], states[nodes])[:, 0, :]
     names = spec.chart().names
     S = dict(zip(names, states.T))
@@ -198,6 +197,9 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12):
         raise ValueError("t0 and t1 must be finite")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    if not (np.isfinite(step) and step >= 0):
+        # a zero step is a step size underflow, as any step too small is
+        raise ValueError("step must be finite and non-negative")
     if adaptive and atol == 0 and rtol == 0:
         # every error estimate would be inf or nan, and no step accepted
         raise ValueError("adaptive mode needs atol or rtol nonzero")

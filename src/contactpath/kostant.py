@@ -6,8 +6,9 @@ The pipeline per parabolic (crossed nodes S of C_n):
   2. apply the rho-shifted action to the adjoint highest weight 2*lambda_1;
   3. convert through the diagram duality mu -> -w0(mu), where w0 is
      the longest Weyl element of the Levi factor (on uncrossed nodes);
-  4. homogeneity over crossed node i is the inner product of the label
-     vector with column i of the inverse Cartan matrix;
+  4. homogeneity over crossed node k < n is the label weight's coefficient
+     on the simple root alpha_k, eps_1 + ... + eps_k of its epsilon
+     coordinates (`grading_degrees`);
   5. the housing subspace (g_I* ^ g_J*) (x) g_{I+J+K} is the unique candidate
      whose weight content contains the label weight.
 
@@ -21,7 +22,6 @@ and validated end-to-end against the n = 3 and n = 4 component tables.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import HousingAmbiguityError, InvalidParabolicError, UnsupportedDimensionError
 from .lie_core import Weight, build_root_system
@@ -78,11 +78,18 @@ def dual_diagram_labels(rs, crossed, labels):
     return rs.from_epsilon(tuple(vec))
 
 
+def grading_degrees(eps, crossed):
+    """Degrees of the weight with epsilon coordinates `eps` over the crossed
+    nodes k < n: its coefficients on the simple roots alpha_k, each
+    eps_1 + ... + eps_k (at node n it is half the sum, not always integral)."""
+    if max(crossed) >= len(eps):
+        raise UnsupportedDimensionError("grading degrees need every crossed node below n")
+    return tuple(sum(eps[:k]) for k in crossed)
+
+
 def homogeneity(rs, w, node):
-    """Scaling-element eigenvalue: <labels, column `node` of inv Cartan>."""
-    col = [row[node - 1] for row in rs.inv_cartan]
-    val = sum(Fraction(c) * x for c, x in zip(w.coeffs, col))
-    return val
+    """Scaling-element eigenvalue of the weight `w` over crossed node `node`."""
+    return grading_degrees(rs.to_epsilon(w), (node,))[0]
 
 
 def component_weights(rs, parabolic):
@@ -90,16 +97,13 @@ def component_weights(rs, parabolic):
 
     The weights are the roots of C_n, each with multiplicity one, and zero.
     A component is keyed by the tuple of a weight's coefficients on the
-    crossed simple roots; for node k < n that coefficient is
-    eps_1 + ... + eps_k.
+    crossed simple roots, its `grading_degrees`.
     """
     crossed = PARABOLIC_NODES[parabolic]
-    if crossed[-1] >= rs.n:
-        raise UnsupportedDimensionError("housing needs every crossed node below n")
-    roots = [tuple(int(x) for x in r) for r in rs.positive_roots()]
+    roots = rs.positive_roots()
     out = {}
     for w in [(0,) * rs.n] + roots + [tuple(-x for x in r) for r in roots]:
-        out.setdefault(tuple(sum(w[:k]) for k in crossed), []).append(w)
+        out.setdefault(grading_degrees(w, crossed), []).append(w)
     return out
 
 
@@ -151,13 +155,9 @@ def h2(n, parabolic):
         if word.length != 2:
             continue
         raw = rs.affine_action(word, lam)
-        dualized = dual_diagram_labels(rs, crossed, raw)
-        hom = tuple(homogeneity(rs, dualized, node) for node in crossed)
-        if any(h.denominator != 1 for h in hom):
-            raise HousingAmbiguityError(f"non-integer homogeneity {hom} for labels {dualized}")
-        hom = tuple(int(h) for h in hom)
-        house = _housing(rs.to_epsilon(dualized), hom, comp_weights)
-        labels = Weight(tuple(int(c) for c in dualized.coeffs))
-        comps.append(H2Component(labels, hom, house))
+        labels = dual_diagram_labels(rs, crossed, raw)
+        eps = rs.to_epsilon(labels)
+        hom = grading_degrees(eps, crossed)
+        comps.append(H2Component(labels, hom, _housing(eps, hom, comp_weights)))
     comps.sort(key=lambda c: (c.z_homogeneity, c.homogeneity[0]))
     return comps

@@ -1,20 +1,20 @@
 """Root data and Weyl group machinery for C_n.
 
-Everything here is exact.  The Weyl group is the hyperoctahedral group of
-signed permutations; elements are carried around both as reduced words (for
-output) and as signed one-line permutations (for equality and root actions).
+Everything here is exact, in plain ints: every root of C_n and every
+weight's epsilon coordinates are integral.  The Weyl group is the
+hyperoctahedral group of signed permutations; elements are carried around
+both as reduced words (for output) and as signed one-line permutations (for
+equality and root actions).
 
 Cartan matrix convention: entries A[i][j] = 2(alpha_i, alpha_j)/(alpha_j,
-alpha_j), so the single -2 sits in row n, column n-1.  This choice is the one
-validated by the homogeneity tables (see kostant module); the opposite
-transposed convention fails the table oracle.
+alpha_j), so the single -2 sits in row n, column n-1.  `reflect` reads its
+rows; test_lie_core.py pins the convention by checking `reflect` against
+the simple reflection on epsilon coordinates, which the transpose fails.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidParabolicError, InvalidRankError
-from .exactlinalg import inverse
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class WeylWord:
 
 
 class RootSystem:
-    """Root system of type C_n with exact Cartan data."""
+    """Root system of type C_n with integer Cartan data."""
 
     def __init__(self, n):
         if n < 2:
@@ -63,30 +63,28 @@ class RootSystem:
         self.n = n
         self.simple_roots = []
         for i in range(1, n):
-            v = [Fraction(0)] * n
-            v[i - 1] = Fraction(1)
-            v[i] = Fraction(-1)
+            v = [0] * n
+            v[i - 1] = 1
+            v[i] = -1
             self.simple_roots.append(tuple(v))
-        v = [Fraction(0)] * n
-        v[n - 1] = Fraction(2)
+        v = [0] * n
+        v[n - 1] = 2
         self.simple_roots.append(tuple(v))
         self.cartan = [
             [self._pairing(a, b) for b in self.simple_roots] for a in self.simple_roots
         ]
-        self.inv_cartan = inverse(self.cartan)
         self.rho = Weight((1,) * n)
 
     @staticmethod
     def _pairing(a, b):
-        num = 2 * sum(x * y for x, y in zip(a, b))
-        return int(num / sum(y * y for y in b))
+        return 2 * sum(x * y for x, y in zip(a, b)) // sum(y * y for y in b)
 
     # --- weight coordinate changes ---------------------------------------
     def to_epsilon(self, w):
         """Fundamental coefficients -> coordinates in the epsilon basis."""
         coeffs = w.coeffs
         out = []
-        running = Fraction(0)
+        running = 0
         for c in reversed(coeffs):
             running += c
             out.append(running)
@@ -103,13 +101,13 @@ class RootSystem:
         roots = []
         for i in range(n):
             for j in range(i + 1, n):
-                for sj in (Fraction(-1), Fraction(1)):
-                    v = [Fraction(0)] * n
-                    v[i] = Fraction(1)
+                for sj in (-1, 1):
+                    v = [0] * n
+                    v[i] = 1
                     v[j] = sj
                     roots.append(tuple(v))
-            v = [Fraction(0)] * n
-            v[i] = Fraction(2)
+            v = [0] * n
+            v[i] = 2
             roots.append(tuple(v))
         return roots
 
@@ -153,7 +151,7 @@ class RootSystem:
 
     @staticmethod
     def apply_perm(p, vec):
-        out = [Fraction(0)] * len(vec)
+        out = [0] * len(vec)
         for i, v in enumerate(p):
             if v > 0:
                 out[v - 1] += vec[i]

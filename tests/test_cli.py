@@ -423,6 +423,21 @@ def test_integrate_non_finite_interval_is_a_usage_error(tmp_path, capsys, bounds
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("step", ["-0.1", "nan", "inf", "-inf"])
+def test_integrate_negative_or_non_finite_step_is_a_usage_error(tmp_path, capsys, step):
+    # -0.1 and nan exited 1 as if verification failed, and inf exited 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3", f"--step={step}",
+         "-o", str(out_csv)],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "--step must be finite and non-negative\n")
+    assert not out_csv.exists()
+
+
 def test_integrate_blow_up_is_a_verification_failure(tmp_path, run_python):
     # u1' = u1^3 from u1 = 0.4 blows up at t = 3.125; no CSV of inf and nan
     spec = tmp_path / "spec.json"

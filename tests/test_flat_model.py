@@ -251,6 +251,20 @@ def test_efj_identities(n):
     assert "EF - J" in res and "g(J.,J.) - g" in res
 
 
+# the residual names in order, as the dense-matrix check returned them, each
+# residual an exact Fraction(0)
+EFJ_NAMES = ["E^2 - I", "F^2 - I", "J^2 + I", "EF - J", "g(E.,E.) + g", "g(F.,F.) + g",
+             "g(J.,J.) - g", "Omega12 - g(F.,.)", "Omega11 + g(E.,.) + g(J.,.)",
+             "Omega22 - g(E.,.) + g(J.,.)"]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_efj_identity_check_matches_the_recorded_dict(n):
+    res = fm.efj_identity_check(n)
+    assert list(res.items()) == [(name, Fraction(0)) for name in EFJ_NAMES]
+    assert {type(v) for v in res.values()} == {Fraction}
+
+
 @pytest.mark.parametrize("key, row", [
     ((1, 1), "Omega11 + g(E.,.) + g(J.,.)"),
     ((1, 2), "Omega12 - g(F.,.)"),

@@ -265,6 +265,28 @@ def test_non_finite_interval_is_refused(t0, t1):
         integrate(flat_spec(3), INIT3, t0, t1, 1e-2)
 
 
+@pytest.mark.parametrize("step", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_negative_or_non_finite_step_is_refused(step):
+    # -0.1 and nan ended in a step size underflow or a non-finite state, and
+    # inf took one step over the whole interval
+    with pytest.raises(ValueError, match="step must be finite and non-negative"):
+        integrate(flat_spec(3), INIT3, 0.0, 1.0, step)
+
+
+@pytest.mark.parametrize("step, samples, contact, secondary", [
+    (1.0, 2, "2.472e-02", "7.599e-02"),
+    (0.5, 3, "1.276e-02", "1.892e-03"),
+])
+def test_paths_of_fewer_than_five_samples_are_checked(step, samples, contact, secondary):
+    # their residual columns were zero; the velocity is now read off the
+    # interpolant through every sample
+    spec = spec_from_dict({"n": 3, "f0": "u1^2", "f": ["u2*x1", "u1"]})
+    traj = integrate(spec, INIT3, 0.0, 1.0, step)
+    assert len(traj.t) == samples
+    assert f"{np.max(np.abs(traj.contact_residual)):.3e}" == contact
+    assert f"{np.max(np.abs(traj.secondary_residual)):.3e}" == secondary
+
+
 def test_adaptive_mode_needs_a_tolerance():
     with pytest.raises(ValueError):
         integrate(flat_spec(3), INIT3, 0.0, 1.0, 0.1, adaptive=True, rtol=0.0, atol=0.0)

@@ -1,5 +1,6 @@
 import pytest
 
+from contactpath import exactlinalg as ela
 from contactpath import graded_sp, kostant
 from contactpath.errors import HousingAmbiguityError, UnsupportedDimensionError
 from contactpath.graded_sp import build
@@ -80,6 +81,32 @@ def test_homogeneity_second_node():
     labels = Weight((4, -3, 0, 1))
     assert kostant.homogeneity(rs, labels, 2) == 0
     assert kostant.homogeneity(rs, Weight((0, 0, 0, 0)), 2) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_homogeneity_is_the_inverse_cartan_pairing(n, rng):
+    # the reference pairs the labels with column k of the inverse Cartan
+    # matrix, computed exactly here
+    rs = build_root_system(n)
+    inv = ela.inverse(rs.cartan)
+    for _ in range(50):
+        w = Weight(tuple(rng.randint(-9, 9) for _ in range(n)))
+        for k in range(1, n):
+            assert kostant.homogeneity(rs, w, k) == sum(c * row[k - 1] for c, row in zip(w.coeffs, inv))
+    with pytest.raises(UnsupportedDimensionError):
+        kostant.homogeneity(rs, w, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_root_data_and_h2_entries_are_ints(n):
+    rs = build_root_system(n)
+    values = [x for r in rs.simple_roots + rs.positive_roots() for x in r]
+    values += [x for row in rs.cartan for x in row] + list(rs.to_epsilon(rs.rho))
+    for parabolic in kostant.PARABOLIC_NODES:
+        for c in kostant.h2(n, parabolic):
+            values += list(c.labels.coeffs) + list(c.homogeneity)
+            values += [x for part in c.housing for x in (part if isinstance(part, tuple) else (part,))]
+    assert {type(x) for x in values} == {int}
 
 
 def test_housing_examples_p12_n4():

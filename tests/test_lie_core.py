@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from contactpath.errors import InvalidParabolicError, InvalidRankError
-from contactpath.exactlinalg import matmul, identity
 from contactpath.lie_core import Weight, WeylWord, build_root_system
 
 
@@ -27,12 +26,6 @@ def brute_force_roots(rs):
         roots |= new
         frontier = new
     return roots
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_cartan_inverse_exact(n):
-    rs = build_root_system(n)
-    assert matmul(rs.cartan, rs.inv_cartan) == identity(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
