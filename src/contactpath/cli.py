@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import engine, flat_model, graded_sp, integrate as integrate_mod, kostant
@@ -167,25 +168,15 @@ def cmd_flat_check(args):
 
 def cmd_dims(args):
     rep = flat_model.dims(args.n, args.k)
-    out = {
-        "n": rep.n,
-        "k": rep.k,
-        "dim_qk": rep.dim_qk,
-        "rank_c": rep.rank_c,
-        "corank": rep.corank,
-        "orbit_dims": {},
-    }
-    s = args.k
-    while s >= 0:
-        out["orbit_dims"][str(s)] = flat_model.orbit_dim(args.n, args.k, s)
-        s -= 2
+    orbits = {str(s): flat_model.orbit_dim(args.n, args.k, s) for s in range(args.k, -1, -2)}
+    out = {**asdict(rep), "orbit_dims": orbits}
     if args.format == "json":
         print(json.dumps(out, indent=2))
     else:
         print(f"dim Q_k      = {rep.dim_qk}   (n={rep.n}, k={rep.k})")
         print(f"rank of C    = {rep.rank_c}")
         print(f"corank of C  = {rep.corank}")
-        for s, d in out["orbit_dims"].items():
+        for s, d in orbits.items():
             print(f"orbit s={s}    dim = {d}")
     return 0
 
@@ -272,6 +263,8 @@ def cmd_integrate(args):
         return _fail("--t0 and --t1 must be finite")
     if args.t1 <= args.t0:
         return _fail("--t1 must exceed --t0")
+    if not args.t0 < args.t1 - integrate_mod.END_TOL:
+        return _fail(f"--t1 must exceed --t0 by more than {integrate_mod.END_TOL:g}")
     if not (math.isfinite(args.step) and args.step >= 0):
         return _fail("--step must be finite and non-negative")
     try:

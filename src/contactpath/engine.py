@@ -9,11 +9,19 @@ the raw data.
 
 Each Geometry settles its ring once, when it is built: polynomial
 components when C is constant and C, f0 and every f are polynomial,
-expression trees otherwise.  Everything it stores (the raw and normalized
-data, the frame, the coframe, its zero) lives in that ring, so the methods
-below compute without asking again.  The trees are built simplified, and
-fields and forms drop components that fold to zero, so the brackets of a
-non-polynomial spec stay small.
+expression trees otherwise; everything it stores lives in that ring.  Trees
+are built simplified, and fields and forms drop components that fold to
+zero.  A spec's Geometry is built on first use and kept on the spec; every
+object derived from it is a cached attribute, built on first use.  The frame
+and coframe depend only on (n, omega): `flat_model` builds them once per pair
+in each ring, shared read-only, and omega^{ij} is `graded_sp.omega_upper`.
+
+Contact torsion is the closed form tau_i = 3 f_i + A_i(f0).  The bracket
+route pairs [[A_i, X], X] with theta(-1,-2), which gives tau again, and with
+theta(-2,-2), which gives zero.  Both identities are proved over generic
+2-jets of (f0, f) at each (n, omega) of `TORSION_IDENTITY_PROVED`, the
+standard omega at n = 3, 4 and 5; the bracket route is lazy, and it runs as
+an exact cross-check of a polynomial spec only outside that set.
 
 The float-point checks (`filtration_ranks`, `semiregular_ranks`,
 `vertical_escape`, `skew_complement_W`, `partial_uw_vectors`,
@@ -21,22 +29,13 @@ The float-point checks (`filtration_ranks`, `semiregular_ranks`,
 `torsion_obstruction_values`) and `torsion_point_reduction` share one
 contract.  Each refuses, with `DegeneratePointError`, a point where C is
 undefined (a pole, or a value that overflows) or |C| < RANK_TOL, and the
-point sampler skips such points: one C rule, `_c_refused`.  Their ranks go
-through `_nrank`, and ranks and vanishing tests read that one absolute
-tolerance, RANK_TOL = 1e-9, scaled by the data where they say so; only
-`secondary_torsion`'s guard against leaking out of E-perp uses its own
-relative 1e-6.  No call takes a tolerance.  `torsion_point_reduction` is
-exact at rational points of a polynomial spec.  At float points a
-polynomial geometry evaluates each field list through one monomial table,
-built on the list's first use (`Geometry.eval_fields`); other geometries
-walk their trees.  A spec's Geometry is built on first use and kept on the
-spec itself, so it lives exactly as long as the spec; every object derived
-from the spec (generating fields, brackets, the field list of each check,
-the contact torsion report at the default seed) is a cached attribute of
-the Geometry, built once on first use.  The frame and coframe depend only
-on (n, omega): `flat_model` builds them once per pair in each ring, and
-every Geometry with that pair and ring shares them, read-only.  omega^{ij}
-is read from `graded_sp.omega_upper`, which decides omega once.
+point sampler skips such points: one C rule, `_c_refused`.  Ranks go through
+`_nrank`; ranks and vanishing tests read one absolute tolerance, RANK_TOL =
+1e-9, scaled by the data where they say so; only `secondary_torsion`'s guard
+against leaking out of E-perp uses its own relative 1e-6.  No call takes a
+tolerance.  `torsion_point_reduction` is exact at rational points of a
+polynomial spec.  At float points a polynomial geometry evaluates each field
+list through one monomial table (`Geometry.eval_fields`); others walk trees.
 """
 
 import json
@@ -209,12 +208,13 @@ class Geometry:
     built on first use: the generating fields `x_hat` and `x_raw`; the
     bracket lists `ai_xhat` ([A_i, X]), `double_brackets` ([[A_i, X], X]),
     `torsion_brackets` (the part of it the coframe reads) and
-    `secondary_brackets` ([X, [X, A_i]]); the form `nu`; the contact
-    torsion report `torsion` at the default seed; the constant
-    `dtheta_entries` behind `dbeta_matrix`; and the field list each
-    pointwise check evaluates (`filtration`, `semiregular_levels`,
-    `escape_fields`, `e_perp`, `partial_uw`, `secondary_fields`,
-    `characteristic_fields`, `reduction_fields`, `adapted_frame`).
+    `secondary_brackets` ([X, [X, A_i]]); the contact torsion report
+    `torsion` at the default seed and its lazy bracket route `bracket_tau`;
+    the form `nu`; the constant `dtheta_entries` behind `dbeta_matrix`; and
+    the field list each pointwise check evaluates (`filtration`,
+    `semiregular_levels`, `escape_fields`, `e_perp`, `partial_uw`,
+    `secondary_fields`, `characteristic_fields`, `reduction_fields`,
+    `adapted_frame`).
     """
 
     def __init__(self, spec):
@@ -284,6 +284,11 @@ class Geometry:
     def double_brackets(self):
         """[[A_i, X], X] for the normalized field, every component."""
         return [fm.lie_bracket(b, self.x_hat) for b in self.ai_xhat]
+
+    @cached_property
+    def bracket_tau(self):
+        """The theta(-1,-2) pairings of `torsion_brackets`."""
+        return tuple(bracket_torsion(self)[0])
 
     @cached_property
     def torsion_brackets(self):
@@ -492,7 +497,6 @@ class TorsionReport:
     is_zero: str          # proved-zero | proved-nonzero | undetermined
     witness: object       # point dict where some tau_i != 0, when nonzero
     tau_ring: tuple       # internal ring elements (Polynomial or Expr)
-    bracket_tau: tuple    # same components computed through double brackets
 
     PROVED_ZERO = "proved-zero"
     PROVED_NONZERO = "proved-nonzero"
@@ -539,32 +543,45 @@ def seeded_points(spec, count, seed=42):
 
 
 def contact_torsion(spec, seed=42):
-    """Contact torsion through the closed form, cross-checked by brackets.
+    """Contact torsion through the closed form (`closed_form_torsion`).
 
-    tau_i = 3 f_i + A_i(f0) for the C-normalized data; the same components
-    are recomputed as the theta(-1,-2) pairing of [[A_i, X], X] and the two
-    routes must agree identically, while the theta(-2,-2) pairing must
-    vanish.  The bracket route builds only the components those two forms
-    read (`Geometry.torsion_brackets`).  The report at the default seed is
-    built once per geometry (`Geometry.torsion`).
-    """
+    The bracket route (`bracket_torsion`) is proved over generic 2-jets at
+    each (n, omega) of `TORSION_IDENTITY_PROVED` and is not run there;
+    elsewhere it cross-checks a polynomial spec exactly.  The report at the
+    default seed is built once per geometry (`Geometry.torsion`)."""
     geo = geometry(spec)
     return geo.torsion if seed == 42 else _torsion_report(geo, seed)
 
 
-def _torsion_report(geo, seed):
+# (n, omega) where the bracket route's identities are proved over 2-jets
+TORSION_IDENTITY_PROVED = frozenset(
+    (n, tuple(map(tuple, graded_sp.standard_omega(2 * n - 4)))) for n in (3, 4, 5))
+
+
+def closed_form_torsion(geo):
+    """tau_i = 3 f_i + A_i(f0) for the C-normalized data, in the geometry's ring."""
     f_low = geo.lower(geo.f_hat)
-    tau = [3 * fl + a.apply(geo.f0_hat) for fl, a in zip(f_low, geo.a_fields)]
-    bracket_tau = [geo.coframe["theta(-1,-2)"].pair(b) for b in geo.torsion_brackets]
-    if geo.polynomial:
-        if any(not geo.coframe["theta(-2,-2)"].pair(b).is_zero() for b in geo.torsion_brackets):
+    return [3 * fl + a.apply(geo.f0_hat) for fl, a in zip(f_low, geo.a_fields)]
+
+
+def bracket_torsion(geo):
+    """The theta(-1,-2) pairings of `Geometry.torsion_brackets`, equal to
+    `closed_form_torsion`, and its theta(-2,-2) pairings, all zero."""
+    return tuple([geo.coframe[key].pair(b) for b in geo.torsion_brackets]
+                 for key in ("theta(-1,-2)", "theta(-2,-2)"))
+
+
+def _torsion_report(geo, seed):
+    tau = closed_form_torsion(geo)
+    if geo.polynomial and (geo.n, geo.omega) not in TORSION_IDENTITY_PROVED:
+        bracket_tau, escape = bracket_torsion(geo)
+        if any(not e.is_zero() for e in escape):
             raise DegeneratePointError("double bracket escaped the contact hyperplane")
         if any(not (a - b).is_zero() for a, b in zip(tau, bracket_tau)):
             raise TorsionPreconditionError(
                 "closed-form and bracket torsion disagree; check omega conventions")
     is_zero, witness = _decide_zero(geo.spec, tau, geo, seed)
-    tau_exprs = tuple(geo.as_expr(t) for t in tau)
-    return TorsionReport(tau_exprs, is_zero, witness, tuple(tau), tuple(bracket_tau))
+    return TorsionReport(tuple(geo.as_expr(t) for t in tau), is_zero, witness, tuple(tau))
 
 
 def _decide_zero(spec, tau, geo, seed):
@@ -901,8 +918,8 @@ def torsion_obstruction_values(spec, point):
     Nonzero values witness that no graded frame can match the model
     brackets at the point.
     """
-    _, fpoint = _float_point(spec, point)
-    return _float_values(contact_torsion(spec).bracket_tau, fpoint)
+    geo, fpoint = _float_point(spec, point)
+    return _float_values(geo.bracket_tau, fpoint)
 
 
 # --- random spec population --------------------------------------------------------

@@ -215,13 +215,8 @@ class OneForm(_Components):
         out = {}
         for coord, comp in self.components.items():
             for var in sorted(comp.variables()):
-                if var == coord:
-                    continue
-                key, sign = ((var, coord), 1) if var < coord else ((coord, var), -1)
-                term = comp.diff(var)
-                if sign < 0:
-                    term = -term
-                out[key] = term if key not in out else out[key] + term
+                if var != coord:
+                    _add_oriented(out, var, coord, comp.diff(var))
         return TwoForm(out)
 
     evaluate = _evaluate
@@ -302,14 +297,15 @@ def wedge(a, b):
     out = {}
     for ca, va in a.components.items():
         for cb, vb in b.components.items():
-            if ca == cb:
-                continue
-            key, sign = ((ca, cb), 1) if ca < cb else ((cb, ca), -1)
-            term = va * vb
-            if sign < 0:
-                term = -term
-            out[key] = term if key not in out else out[key] + term
+            if ca != cb:
+                _add_oriented(out, ca, cb, va * vb)
     return TwoForm(out)
+
+
+def _add_oriented(out, a, b, term):
+    """Add term da ^ db to the TwoForm components `out`, keyed (a, b) with a < b."""
+    key, term = ((a, b), term) if a < b else ((b, a), -term)
+    out[key] = term if key not in out else out[key] + term
 
 
 def eval_wedge_of_two_forms(forms, counts, size):
@@ -501,18 +497,10 @@ def theta_matrix(n, omega=None):
 
 def structure_equation_residual(theta):
     """d Theta + Theta ^ Theta, entrywise, as two-forms."""
-    d = len(theta)
-    out = []
-    for i in range(d):
-        row = []
-        for k in range(d):
-            acc = theta[i][k].d()
-            for j in range(d):
-                if theta[i][j].components and theta[j][k].components:
-                    acc = acc + wedge(theta[i][j], theta[j][k])
-            row.append(acc)
-        out.append(row)
-    return out
+    d = range(len(theta))
+    return [[sum((wedge(theta[i][j], theta[j][k]) for j in d
+                  if theta[i][j].components and theta[j][k].components), theta[i][k].d())
+             for k in d] for i in d]
 
 
 def maurer_cartan_residual(n):

@@ -36,6 +36,7 @@ from .lowering import compile_exprs, exact_constant
 
 _CSV_BLOCK = 128
 C_MIN = 1e-8  # |C| below this ends a path with SingularArcError
+END_TOL = 1e-14  # a path ends within this of t1
 
 
 @dataclass
@@ -195,8 +196,8 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12):
         state = [float(v) for v in init]
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError("t0 and t1 must be finite")
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
+    if not t0 < t1 - END_TOL:
+        raise ValueError(f"t1 must exceed t0 by more than the end tolerance {END_TOL:g}")
     if not (np.isfinite(step) and step >= 0):
         # a zero step is a step size underflow, as any step too small is
         raise ValueError("step must be finite and non-negative")
@@ -213,7 +214,7 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12):
     t = t0
     h = float(step)
     h_floor = 1e-13 * (t1 - t0)
-    while t < t1 - 1e-14:
+    while t < t1 - END_TOL:
         if t1 - t < h_floor:
             # what is left is below the smallest step: t += h fell short of
             # t1 by rounding

@@ -408,6 +408,20 @@ def test_integrate_reversed_interval_is_a_usage_error(tmp_path, capsys):
     assert err == "--t1 must exceed --t0\n"
 
 
+def test_integrate_interval_within_the_end_tolerance_is_a_usage_error(tmp_path, capsys):
+    # it wrote a one-sample CSV with zero residuals and exited 0
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 3, "f0": "u1^2", "f": ["u2*x1", "u1"]}')
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["integrate", str(spec), "--init", "0,0.3,0.1,-0.2,0.5,0.7,0.4,-0.3", "--t1", "1e-15",
+         "-o", str(out_csv)],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "--t1 must exceed --t0 by more than 1e-14\n")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("bounds", [["--t1", "nan"], ["--t0", "nan"], ["--t1", "inf"], ["--t0=-inf"]])
 def test_integrate_non_finite_interval_is_a_usage_error(tmp_path, capsys, bounds):
     # --t1 nan wrote a one-row CSV and exited 0; --t1 inf exited 1 with a

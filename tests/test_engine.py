@@ -47,6 +47,8 @@ from contactpath.errors import (
 from contactpath.graded_sp import standard_omega
 from contactpath.poly import Polynomial
 
+from conftest import RATIONAL_OMEGAS
+
 
 # --- spec loading ----------------------------------------------------------
 
@@ -233,7 +235,7 @@ def test_cubic_spec_torsion():
 def test_two_route_agreement_symbolic(n, seed):
     spec = random_polynomial_spec(n, seed)
     report = contact_torsion(spec)
-    for closed, bracketed in zip(report.tau_ring, report.bracket_tau):
+    for closed, bracketed in zip(report.tau_ring, geometry(spec).bracket_tau):
         assert (closed - bracketed).is_zero()
 
 
@@ -565,10 +567,17 @@ def test_pointwise_calls_build_the_torsion_once(monkeypatch):
     {"n": 4, "f0": "u1*u2*u3 - x4^2", "f": ["u2^2", "x1*u4", "3*u1^2 + z", "0"]},
     {"n": 3, "f0": "u1*u2 + sin(x1)", "f": ["u2^2 - x2 + exp(u1/4)", "u1*x1 - z"]},
 ], ids=["polynomial", "transcendental"])
-def test_contact_torsion_builds_only_the_paired_components(data):
+def test_bracket_route_is_lazy_and_builds_only_the_paired_components(data):
     spec = spec_from_dict(data)
     geo = geometry(spec)
-    report = contact_torsion(spec)
+    contact_torsion(spec)
+    # at a proved (n, omega) the closed form alone decides
+    assert (geo.n, geo.omega) in engine.TORSION_IDENTITY_PROVED
+    for name in ("ai_xhat", "torsion_brackets", "bracket_tau", "double_brackets"):
+        assert name not in vars(geo), name
+    point = seeded_points(spec, 1, seed=3)[0]
+    values = torsion_obstruction_values(spec, point)
+    assert "torsion_brackets" in vars(geo)
     assert "double_brackets" not in vars(geo)
     # the u components of [[A_i, X], X] are never built ...
     read = (geo.coframe["theta(-1,-2)"].components.keys()
@@ -578,8 +587,36 @@ def test_contact_torsion_builds_only_the_paired_components(data):
         assert set(b.components) <= read
     # ... and the pairings with the whole double bracket are the same
     th = geo.coframe["theta(-1,-2)"]
-    for double, tau in zip(geo.double_brackets, report.bracket_tau):
-        assert str(geo.as_expr(th.pair(double))) == str(geo.as_expr(tau))
+    paired = [th.pair(double) for double in geo.double_brackets]
+    for whole, tau in zip(paired, geo.bracket_tau):
+        assert str(geo.as_expr(whole)) == str(geo.as_expr(tau))
+    fpoint = {k: float(v) for k, v in point.items()}
+    assert list(values) == pytest.approx([float(p.evaluate(fpoint)) for p in paired], rel=1e-12)
+
+
+def test_torsion_cross_check_runs_only_outside_the_proved_set(monkeypatch):
+    data = {"n": 3, "f0": "u1*u2 + x1^2", "f": ["u2^2", "x1*u1 - z"]}
+    rational = {**data, "omega": [[str(w) for w in row] for row in RATIONAL_OMEGAS[0]]}
+    assert (3, spec_from_dict(rational).omega) not in engine.TORSION_IDENTITY_PROVED
+    # the engine's closed form passes the cross-check there
+    contact_torsion(spec_from_dict(rational))
+    closed_form = engine.closed_form_torsion
+
+    def two_f(geo):
+        # 2 f_i + A_i(f0) in place of 3 f_i + A_i(f0)
+        return [t - fl for t, fl in zip(closed_form(geo), geo.lower(geo.f_hat))]
+
+    monkeypatch.setattr(engine, "closed_form_torsion", two_f)
+    with pytest.raises(TorsionPreconditionError, match="disagree"):
+        contact_torsion(spec_from_dict(rational))
+
+    def unreachable(geo):
+        raise AssertionError("the bracket route ran at a proved (n, omega)")
+
+    monkeypatch.setattr(engine, "bracket_torsion", unreachable)
+    spec = spec_from_dict(data)
+    contact_torsion(spec)
+    assert "torsion_brackets" not in vars(geometry(spec))
 
 
 class _CountingRandom(engine.Random):
@@ -715,7 +752,7 @@ def test_each_field_list_gets_one_table(monkeypatch):
     assert len({id(fields) for fields in owned}) == len(owned)
     assert sorted(map(id, built)) == sorted(map(id, owned))
     # the derived objects are built once
-    for name in ("x_hat", "x_raw", "ai_xhat", "double_brackets", "torsion_brackets",
+    for name in ("x_hat", "x_raw", "ai_xhat", "double_brackets", "torsion_brackets", "bracket_tau",
                  "secondary_brackets", "nu", "filtration", "adapted_frame", "torsion"):
         assert getattr(geo, name) is getattr(geo, name), name
     # the escape list extends the partial_uw list by T(0,-2), on its own table

@@ -287,6 +287,14 @@ def test_paths_of_fewer_than_five_samples_are_checked(step, samples, contact, se
     assert f"{np.max(np.abs(traj.secondary_residual)):.3e}" == secondary
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 1e-15), (0.0, 1e-14), (1.0, 0.0), (1.0, 1.0 + 2e-16)])
+def test_interval_within_the_end_tolerance_is_refused(t0, t1):
+    # 0 -> 1e-15 took no step and reported zero residuals for one sample
+    spec = spec_from_dict({"n": 3, "f0": "u1^2", "f": ["u2*x1", "u1"]})
+    with pytest.raises(ValueError, match="t1 must exceed t0 by more than the end tolerance"):
+        integrate(spec, INIT3, t0, t1, 1e-3)
+
+
 def test_adaptive_mode_needs_a_tolerance():
     with pytest.raises(ValueError):
         integrate(flat_spec(3), INIT3, 0.0, 1.0, 0.1, adaptive=True, rtol=0.0, atol=0.0)
