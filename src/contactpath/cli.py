@@ -26,7 +26,7 @@ from .errors import (
     SpecFormatError,
     UnsupportedDimensionError,
 )
-from .squat import SplitQuaternion, J, E, F
+from .squat import SplitQuaternion, J, E, F, conj, norm2
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
@@ -287,43 +287,16 @@ def cmd_integrate(args):
 
 # --- quaternion calculator --------------------------------------------------------
 
-_QUAT_ENV = {"j": J, "e": E, "f": F}
-
-
-def _quat_eval(node):
-    if isinstance(node, ex.Num):
-        return SplitQuaternion(node.value)
-    if isinstance(node, ex.Var):
-        return _QUAT_ENV[node.name]
-    if isinstance(node, ex.Neg):
-        return -_quat_eval(node.arg)
-    if isinstance(node, ex.Pow):
-        return _quat_eval(node.base) ** node.exponent
-    if isinstance(node, ex.Bin):
-        a = _quat_eval(node.left)
-        b = _quat_eval(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, ex.Call):
-        arg = _quat_eval(node.arg)
-        if node.func == "conj":
-            return arg.conj()
-        if node.func == "norm2":
-            return SplitQuaternion(arg.norm2())
-        raise ExprError(f"function {node.func!r} not defined on split quaternions")
-    raise ExprError(f"cannot evaluate node {node!r}")
+# `Expr.evaluate` over split quaternions; squat's functions coerce a scalar
+# argument, and norm2 gives its value back as a quaternion
+_QUAT_ENV = {"j": J, "e": E, "f": F, "conj": conj, "norm2": lambda p: SplitQuaternion(norm2(p))}
 
 
 def cmd_quat(args):
     try:
         node = ex.parse(args.expression, {"j", "e", "f"}, functions={"conj", "norm2"})
-        value = _quat_eval(node)
-    except (ExprError, ZeroDivisionError) as e:
+        value = SplitQuaternion.coerce(node.evaluate(_QUAT_ENV))
+    except (ExprError, ArithmeticError) as e:
         return _fail(f"quat: {e}")
     if args.json:
         m = value.matrix_rep()

@@ -39,6 +39,7 @@ list through one monomial table (`Geometry.eval_fields`); others walk trees.
 """
 
 import json
+import math
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -81,9 +82,6 @@ class ODESpec:
     def chart(self):
         return fm.projective_chart(self.n)
 
-    def variables(self):
-        return list(self.chart().names)
-
     @cached_property
     def _geometry(self):
         return Geometry(self)
@@ -104,6 +102,8 @@ def _parse_rational(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SpecFormatError(f"omega entries must be finite, got {x!r}")
         return Fraction(x).limit_denominator(10**12)
     if isinstance(x, str):
         try:
@@ -126,15 +126,15 @@ def spec_from_dict(data):
     if n < 3:
         raise SpecFormatError(f"n must be >= 3, got {n}")
     m = 2 * n - 4
+    omega = None
     if "omega" in data:
         om_rows = data["omega"]
         if not isinstance(om_rows, list) or len(om_rows) != m or any(
             not isinstance(r, list) or len(r) != m for r in om_rows
         ):
             raise SpecFormatError(f"omega must be {m}x{m}")
-        omega = tuple(tuple(_parse_rational(x) for x in row) for row in om_rows)
-    else:
-        omega = tuple(map(tuple, graded_sp.standard_omega(m)))
+        omega = [[_parse_rational(x) for x in row] for row in om_rows]
+    omega = graded_sp.middle_form(m, omega)
     try:
         graded_sp.omega_upper(omega)
     except ValueError as e:
@@ -555,7 +555,7 @@ def contact_torsion(spec, seed=42):
 
 # (n, omega) where the bracket route's identities are proved over 2-jets
 TORSION_IDENTITY_PROVED = frozenset(
-    (n, tuple(map(tuple, graded_sp.standard_omega(2 * n - 4)))) for n in (3, 4, 5))
+    (n, graded_sp.middle_form(2 * n - 4)) for n in (3, 4, 5))
 
 
 def closed_form_torsion(geo):

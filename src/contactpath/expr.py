@@ -9,14 +9,17 @@ Grammar (whitespace insignificant, '^' binds tighter than unary minus):
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
 Integer literals become exact rationals, decimal/exponent literals become
-floats.  The parser keeps the shape of the source text, so a parsed
-expression prints as written.  Everything else that builds a tree (the
-arithmetic operators, `diff`, `simplify`) builds it simplified: constants
-folded, 0/1 identities applied, double negation removed.  Differentiation is
-exact on the tree; evaluation follows standard semantics and raises on
-division by zero or log of a non-positive number.  Trees answer the ring
-interface `Polynomial` has (`diff`, `evaluate`, `is_zero`, `variables`),
-plus `children`, so fields and forms hold either ring without asking which.
+floats; a literal that overflows to a non-finite float is refused.  The
+parser keeps the shape of the source text, so a parsed expression prints as
+written.  Everything else that builds a tree (the arithmetic operators,
+`diff`, `simplify`) builds it simplified: constants folded, 0/1 identities
+applied, double negation removed.  Differentiation is exact on the tree.
+`evaluate` is the one interpreter of trees: it runs over any ring whose
+values and functions the environment binds (a function bound under a call's
+name replaces the built-in one), and raises on division by zero or log of a
+non-positive number.  Trees answer the ring interface `Polynomial` has
+(`diff`, `evaluate`, `is_zero`, `variables`), plus `children`, so fields and
+forms hold either ring without asking which.
 """
 
 import math
@@ -321,6 +324,8 @@ class Call(Expr):
 
     def evaluate(self, env):
         x = self.arg.evaluate(env)
+        if self.func in env:
+            return env[self.func](x)
         if self.func == "log":
             if x <= 0:
                 raise ExprEvalError(f"log of non-positive value {x}")
@@ -478,6 +483,8 @@ def _tokenize(src):
                     break
             text = src[i:j]
             value = float(text) if (seen_dot or seen_exp) else Fraction(int(text))
+            if type(value) is float and not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is not finite", i)
             tokens.append(("num", value, i))
             i = j
             continue

@@ -30,7 +30,7 @@ from . import exactlinalg as ela
 from . import squat
 from .errors import UnsupportedDimensionError
 from .expr import Num, poly_to_expr
-from .graded_sp import negative_names, negative_part, standard_omega
+from .graded_sp import middle_form, negative_names, negative_part, standard_omega
 from .poly import Polynomial
 
 PZERO = Polynomial()
@@ -61,9 +61,6 @@ class CoordChart:
     @property
     def dim(self):
         return len(self.names)
-
-    def index(self, name):
-        return self.names.index(name)
 
     def origin(self):
         return {nm: Fraction(0) for nm in self.names}
@@ -346,10 +343,6 @@ def eval_wedge_of_two_forms(forms, counts, size):
 
 # --- the flat model: the chart as an element g of Sp(Omega) -------------------
 
-def _omega(size, omega=None):
-    return [list(map(Fraction, row)) for row in (standard_omega(size) if omega is None else omega)]
-
-
 def frame_keys(name):
     """(frame key, coframe key) of the g_- basis element `name`: t(i,j) ->
     T(i,j), theta(i,j); a_i -> A_i, theta_i; e_i -> E_i, eta_i."""
@@ -367,7 +360,7 @@ def model_element(n, omega=None):
     m, d = 2 * n - 4, 2 * n
     t, x0, z, u0 = map(Polynomial.variable, ("t", "x0", "z", "u0"))
     x, u = ([Polynomial.variable(f"{s}{i}") for i in range(1, m + 1)] for s in "xu")
-    om = _omega(m, omega)
+    om = middle_form(m, omega)
     ox, ou = contract(om, x), contract(om, u)  # omega_iq x^q, omega_iq u^q
     g = [[PONE if r == c else PZERO for c in range(d)] for r in range(d)]
     for r, entry in enumerate([t, *x, x0, z], 1):
@@ -423,7 +416,7 @@ def _tree_frame_and_coframe(n, omega):
 
 def _key(n, omega):
     """(n, omega as a tuple of Fraction rows), None read as the standard omega."""
-    return n, tuple(map(tuple, _omega(2 * n - 4, omega)))
+    return n, middle_form(2 * n - 4, omega)
 
 
 def frame(n, omega=None):
@@ -453,7 +446,7 @@ def pdq_frame(n):
     if n < 3:
         raise UnsupportedDimensionError("pdq_frame requires n >= 3")
     m = 2 * n - 4
-    om = _omega(m)
+    om = standard_omega(m)
     u = [Polynomial.variable(f"u{i}") for i in range(1, m + 1)]
     u0 = Polynomial.variable("u0")
     x = [Polynomial.variable(f"x{i}") for i in range(1, m + 1)]
@@ -530,7 +523,7 @@ def qk_forms(n, k, omega=None):
     if not 1 <= k <= n - 1:
         raise UnsupportedDimensionError(f"k must satisfy 1 <= k <= n-1, got {k}")
     w = 2 * (n - k)
-    om = _omega(w, omega)
+    om = middle_form(w, omega)
     chart = grassmann_chart(n, k)
 
     def ykey(a, b):

@@ -31,15 +31,18 @@ _PARABOLICS = (P1, P2, P12)
 
 
 def standard_omega(m):
-    """Standard block form [[0, I], [-I, 0]] on m = 2k middle indices."""
+    """Standard block form [[0, I], [-I, 0]] on m = 2k middle indices, as a
+    tuple of Fraction rows."""
     if m % 2:
         raise ValueError("middle dimension must be even")
     k = m // 2
-    w = ela.zeros(m, m)
-    for i in range(k):
-        w[i][k + i] = Fraction(1)
-        w[k + i][i] = Fraction(-1)
-    return w
+    return tuple(tuple(Fraction((j == i + k) - (i == j + k)) for j in range(m)) for i in range(m))
+
+
+def middle_form(m, omega=None):
+    """The middle form omega on m indices as a tuple of Fraction rows, the
+    one form every module keys and reads it in; None is the standard form."""
+    return standard_omega(m) if omega is None else _freeze(omega)
 
 
 @functools.lru_cache(maxsize=16)
@@ -131,7 +134,7 @@ class GradedLieAlgebra:
         self.parabolic = parabolic
         m = 2 * n - 4
         self.m = m
-        self.omega = _freeze(standard_omega(m) if omega is None else omega)
+        self.omega = middle_form(m, omega)
         self.omega_upper = omega_upper(self.omega)
         self.symplectic_form = _freeze(self._big_omega())
         self.basis = self._build_basis()

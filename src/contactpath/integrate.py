@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, SingularArcError, StepUnderflowError
-from .lowering import compile_exprs, exact_constant
+from .lowering import compile_exprs
 
 _CSV_BLOCK = 128
 C_MIN = 1e-8  # |C| below this ends a path with SingularArcError
@@ -206,8 +206,11 @@ def integrate(spec, init, t0, t1, step, adaptive=False, rtol=1e-9, atol=1e-12):
         raise ValueError("adaptive mode needs atol or rtol nonzero")
     rhs = _compile_rhs(spec)
     first = rhs(state)
-    c_start = exact_constant(spec.C)
-    if abs(first[1] if c_start is None else c_start) < C_MIN:
+    c_start = first[1]
+    if not spec.C.variables():
+        with contextlib.suppress(ArithmeticError, ValueError):  # an overflow keeps the float C
+            c_start = spec.C.evaluate({})
+    if abs(c_start) < C_MIN:
         raise SingularArcError("C vanishes at the initial point", t0, np.array(state))
     ts = [t0]
     history = array("d", state)

@@ -26,18 +26,8 @@ class Weight:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    @property
-    def n(self):
-        return len(self.coeffs)
-
     def __add__(self, other):
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def compile_exprs(exprs, names):
     env the chart values `s` (a list of floats in `names` order), bitwise.
 
     A root with no variable gives `float` of its exact value, which
-    `exact_constant` returns.  Python floats raise OverflowError in `**`
+    `evaluate({})` returns.  Python floats raise OverflowError in `**`
     where numpy scalars give inf; the tree walk then reruns on numpy scalars,
     with numpy's floating-point warnings off, and returns `float` of each
     value (the same double).
@@ -197,10 +197,3 @@ def compile_exprs(exprs, names):
                 return [float(e.evaluate(env)) for e in exprs]
 
     return values
-
-
-def exact_constant(expr):
-    """The exact value of a variable-free expression, folded as the tree walk
-    folds it; None when it has a variable or its evaluation raises."""
-    kind, value = _Emitter({}).operand(expr)
-    return value if kind == "const" else None

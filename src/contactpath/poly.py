@@ -73,11 +73,6 @@ class Polynomial:
                 seen.add(v)
         return seen
 
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def __add__(self, other):
         if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented  # lets expression trees absorb polynomials

@@ -141,6 +141,9 @@ class SplitQuaternion:
     def __truediv__(self, other):
         return self * SplitQuaternion.coerce(other).inverse()
 
+    def __rtruediv__(self, other):
+        return SplitQuaternion.coerce(other) * self.inverse()
+
     def matrix_rep(self):
         a, b, c, d = self.components()
         return ((a + d, c - b), (b + c, a - d))
@@ -231,20 +234,15 @@ def classify_imaginary(p):
 
 
 def module_rank(xs):
-    """Rank in {0, 1, 2} of an element of A^n viewed as a linear map L -> V."""
-    rows = [row for x in xs for row in SplitQuaternion.coerce(x).matrix_rep()]
-    if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-        return exact_rank([[Fraction(v) for v in row] for row in rows])
-    import numpy as np
-
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9))
+    """Rank in {0, 1, 2} of an element of A^n viewed as a linear map L -> V,
+    decided exactly: a float entry counts as the rational it is."""
+    return exact_rank([row for x in xs for row in SplitQuaternion.coerce(x).matrix_rep()])
 
 
 def submodule_dimension(x):
     """Real dimension of the right A-module generated by a single element."""
     x = SplitQuaternion.coerce(x)
-    vectors = [(x * g).components() for g in (ONE, J, E, F)]
-    return exact_rank([[Fraction(v) for v in row] for row in vectors])
+    return exact_rank([(x * g).components() for g in (ONE, J, E, F)])
 
 
 def module_norm2(xs):

@@ -550,3 +550,144 @@ def test_exact_half_output_unchanged(command, n, capsys):
         code, out, _ = run_cli(argv, capsys)
         h.update(f"{code}\n{out}\n".encode())
     assert h.hexdigest() == GOLDEN_EXACT_HALF[command, n]
+
+
+# sha256 of the exit code and stdout of `quat` over these expressions, in
+# both formats, recorded while the calculator still had its own tree walk
+# over split quaternions; `Expr.evaluate` must reproduce every printed byte.
+QUAT_EXPRESSIONS = [
+    "1", "0", "j", "e", "f", "-j", "e*f", "f*e", "j*e", "e*j", "j*j", "e*e", "f*f",
+    "1 + j", "j - e", "2*j - 3*e + f/2", "-(j + e)", "(1 + j)*(e - f)",
+    "j^0", "j^2", "j^-1", "(1+j)^-2", "(1 + 2*j + 3*e)^3", "2^3", "2^-1",
+    "2/j", "j/2", "(1 + j)/(1 - j)", "e/(1 + 2*f)", "1/(1+e)", "1/0", "0^-1",
+    "1.5*j", "j*1.5", "1.5 + j", "-1.5*e", "0.5*(j + f)", "(1.5*j)^-1",
+    "conj(j)*j", "conj(1 + j + e + f)", "conj(2)", "norm2(3)", "norm2(1 + 2*j)",
+    "norm2(e + f)", "norm2(1.5*j)", "conj(norm2(1 + e))", "norm2(j)*e",
+    "q + 1", "sin(j)", "j^", "1/(j - j)",
+]
+GOLDEN_QUAT = "fbcc6f0f0c0b1f3c070738449e4ed11436b0883ff0e64f651dcfd359536344f6"
+
+
+def test_quat_output_unchanged(capsys):
+    h = hashlib.sha256()
+    for fmt in ([], ["--json"]):
+        for expression in QUAT_EXPRESSIONS:
+            code, out, _ = run_cli(["quat", expression] + fmt, capsys)
+            h.update(f"{code}\n{out}\n".encode())
+    assert h.hexdigest() == GOLDEN_QUAT
+
+
+@pytest.mark.parametrize("expression, err", [
+    ("1/0", "quat: division by zero\n"),
+    ("1/(j - j)", "quat: division by zero\n"),
+    ("0^-1", "quat: zero raised to a negative power\n"),
+    # a nonzero divisor of norm 0 has no inverse
+    ("1/(1+e)", "quat: element of norm 0 has no inverse\n"),
+    ("(1 + f)^-1", "quat: element of norm 0 has no inverse\n"),
+    ("1e400*j", "quat: number '1e400' is not finite (at offset 0)\n"),
+])
+def test_quat_undefined_values_are_usage_errors(expression, err, capsys):
+    assert run_cli(["quat", expression], capsys) == (2, "", err)
+
+
+def test_quat_scalar_overflow_is_a_usage_error(capsys):
+    # a quaternion power multiplies out and may reach inf; a scalar power
+    # is a float power, which raises
+    code, out, err = run_cli(["quat", "1.5^2000"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("quat: ")
+    code, out, _ = run_cli(["quat", "(1.5*j)^2000"], capsys)
+    assert code == 0 and out.startswith("inf\n")
+
+
+def test_quat_underflowing_literal_is_accepted(capsys):
+    code, out, _ = run_cli(["quat", "1e-400*j"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "0"
+
+
+def test_quat_scalar_subexpression_is_a_scalar(capsys):
+    # a subexpression without j, e or f is evaluated over the scalars, so its
+    # imaginary parts are the exact zeros of a lifted scalar, not products
+    # of float zeros
+    code, out, _ = run_cli(["quat", "1.5*2 + j"], capsys)
+    assert code == 0
+    assert out == (
+        "3.0 + j\n"
+        "components (1, j, e, f): ('3.0', '1', '0', '0')\n"
+        "matrix [[3.0, -1], [1, 3.0]]\n"
+    )
+
+
+def test_dims_table_output(capsys):
+    code, out, err = run_cli(["dims", "--n", "4", "--k", "4"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        "dim Q_k      = 10   (n=4, k=4)\n"
+        "rank of C    = 0\n"
+        "corank of C  = 10\n"
+        "orbit s=4    dim = 10\n"
+        "orbit s=2    dim = 15\n"
+        "orbit s=0    dim = 16\n"
+    )
+    code, out, _ = run_cli(["dims", "--n", "5", "--k", "3"], capsys)
+    assert out == (
+        "dim Q_k      = 18   (n=5, k=3)\n"
+        "rank of C    = 12\n"
+        "corank of C  = 6\n"
+        "orbit s=3    dim = 18\n"
+        "orbit s=1    dim = 21\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["ranks"], ["integrate"]])
+@pytest.mark.parametrize("point, err", [
+    ("1,2,x,0,0,0,0,0", "could not parse point '1,2,x,0,0,0,0,0' as comma-separated rationals\n"),
+    ("1/0,0,0,0,0,0,0,0", "could not parse point '1/0,0,0,0,0,0,0,0' as comma-separated rationals\n"),
+    ("1,2,3", "point must have 8 coordinates (t,x0,x1,x2,z,u0,u1,u2)\n"),
+])
+def test_bad_point_is_a_usage_error(command, point, err, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_FLAT)
+    flag = "--point" if command == ["ranks"] else "--init"
+    argv = command + [str(spec), flag, point]
+    if command == ["integrate"]:
+        argv += ["-o", str(tmp_path / "out.csv")]
+    assert run_cli(argv, capsys) == (2, "", err)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("spec, err", [
+    # JSON tokens Python reads as floats
+    ('{"n": 3, "omega": [[0, NaN], [NaN, 0]], "f0": "0", "f": ["0", "0"]}',
+     "omega entries must be finite, got nan"),
+    ('{"n": 3, "omega": [[0, Infinity], [-Infinity, 0]], "f0": "0", "f": ["0", "0"]}',
+     "omega entries must be finite, got inf"),
+    # a literal that overflows, in the polynomial ring and out of it
+    ('{"n": 3, "f0": "u1*1e400", "f": ["0", "0"]}',
+     "number '1e400' is not finite (at offset 3)"),
+    ('{"n": 3, "f0": "sin(u1)*1e400", "f": ["0", "0"]}',
+     "number '1e400' is not finite (at offset 8)"),
+])
+def test_non_finite_spec_numbers_are_refused(spec, err, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert run_cli(["torsion", str(path)], capsys) == (2, "", f"cannot load spec: {err}\n")
+
+
+@pytest.mark.parametrize("c, code, out, err", [
+    ("2*exp(0)", 0, "3 samples, max|contact| = 0.000e+00, max|secondary| = 0.000e+00\n", ""),
+    ("log(0)", 2, "", "log of non-positive value 0\n"),
+    # the exact 1e-8 lies below the float C_MIN
+    ("1/100000000", 1, "", "singular arc: C vanished near t = 0.0\n"),
+])
+def test_integrate_variable_free_c(c, code, out, err, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 3, "C": c, "f0": "u1", "f": ["0", "1"]}))
+    csv = tmp_path / "out.csv"
+    got = run_cli(["integrate", str(spec), "--init", "0,0,0,0,0,0,0,0", "--t1", "0.01",
+                   "--step", "0.005", "-o", str(csv)], capsys)
+    assert got[0] == code and got[1].endswith(out) and got[2] == err
+    if code == 0:
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "acbd140b8b9ea8f54038ca96e88a91c8ea4fb6b5bd660583d1bbad51cb1a3a60")

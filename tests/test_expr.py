@@ -190,3 +190,20 @@ def test_as_polynomial():
     assert ex.parse("sin(x)", {"x"}).as_polynomial() is None
     p = ex.parse("x/2", {"x"}).as_polynomial()
     assert p.evaluate({"x": Fraction(3)}) == Fraction(3, 2)
+
+
+def test_non_finite_literal_is_refused_at_its_offset():
+    for src, offset in (("1e400", 0), ("u1*1e400", 3), ("sin(u1) - 2.5e309", 10)):
+        with pytest.raises(ExprSyntaxError) as err:
+            ex.parse(src, {"u1"})
+        assert err.value.offset == offset
+    # a literal that underflows is the float 0.0
+    assert ex.parse("1e-400", set()).evaluate({}) == 0.0
+
+
+def test_evaluate_applies_a_function_the_environment_binds():
+    node = ex.parse("sin(u1) + twice(u1 - 1)", {"u1"}, functions={"sin", "twice"})
+    assert node.evaluate({"u1": Fraction(3), "twice": lambda x: 2 * x,
+                          "sin": lambda x: x}) == Fraction(7)
+    # chart values alone leave the built-in functions in place
+    assert ex.parse("sin(u1)", {"u1"}).evaluate({"u1": 0.5}) == math.sin(0.5)

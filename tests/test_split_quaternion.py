@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -202,3 +203,20 @@ def test_product_and_norm_match_plain_formulas(p, q):
     assert list(map(repr, got)) == list(map(repr, plain_product(p, q)))
     a, b, c, d = p
     assert repr(SplitQuaternion(*p).norm2()) == repr(a * a + b * b - c * c - d * d)
+
+
+def test_module_rank_is_exact_on_float_entries():
+    # a float counts as the rational it is: no tolerance decides a small
+    # entry to be zero
+    zero = SplitQuaternion(0)
+    assert module_rank([1e-12 * J, zero]) == 2
+    assert module_rank([SplitQuaternion(0.5, 0, 0, 0.5), zero]) == 1
+    # a - d is one ulp of 0.1, far below any fixed tolerance, and nonzero
+    assert module_rank([SplitQuaternion(0.1, 0, 0, math.nextafter(0.1, 1)), zero]) == 2
+
+
+def test_scalar_divided_by_a_quaternion():
+    assert 2 / J == SplitQuaternion(0, -2)
+    assert Fraction(1, 2) / (1 + J) == SplitQuaternion(Fraction(1, 4), Fraction(-1, 4))
+    with pytest.raises(ZeroDivisionError):
+        1 / (1 + E)
