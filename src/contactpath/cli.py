@@ -8,6 +8,7 @@ flags.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,16 +44,19 @@ def _fail(msg):
 _CROSS_TO_PARABOLIC = {nodes: name for name, nodes in kostant.PARABOLIC_NODES.items()}
 
 
+def _housing_parts(housing):
+    """(I, J, K) of a housing with each part a tuple of degrees: one per
+    crossed node (kostant gives a single node's as plain degrees)."""
+    return tuple(b if isinstance(b, tuple) else (b,) for b in housing)
+
+
 def _housing_str(housing):
-    i, j, k = housing
-    if isinstance(i, tuple):
-        def comp(b):
-            return f"g({b[0]},{b[1]})"
-        target = tuple(a + b + c for a, b, c in zip(i, j, k))
-    else:
-        def comp(b):
-            return f"g({b})"
-        target = i + j + k
+    i, j, k = _housing_parts(housing)
+
+    def comp(b):
+        return f"g({','.join(map(str, b))})"
+
+    target = tuple(a + b + c for a, b, c in zip(i, j, k))
     if i == j:
         wedge = f"L2({comp(i)}*)"
     else:
@@ -72,9 +76,7 @@ def cmd_homology(args):
     if args.format == "json":
         out = []
         for c in comps:
-            i, j, k = c.housing
-            if not isinstance(i, tuple):
-                i, j, k = (i,), (j,), (k,)
+            i, j, k = _housing_parts(c.housing)
             out.append(
                 {
                     "labels": list(c.labels.coeffs),
@@ -296,6 +298,10 @@ def cmd_quat(args):
     try:
         node = ex.parse(args.expression, {"j", "e", "f"}, functions={"conj", "norm2"})
         value = SplitQuaternion.coerce(node.evaluate(_QUAT_ENV))
+        if any(isinstance(c, float) and not math.isfinite(c) for c in value.components()):
+            raise OverflowError
+    except OverflowError:
+        return _fail("quat: the value overflows a float")
     except (ExprError, ArithmeticError) as e:
         return _fail(f"quat: {e}")
     if args.json:
@@ -320,6 +326,7 @@ def cmd_quat(args):
 
 # --- argument plumbing ---------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="contactpath",
@@ -351,20 +358,20 @@ def build_parser():
     p = sub.add_parser("torsion", help="contact torsion of an ODE spec")
     p.add_argument("spec")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=engine.DEFAULT_SEED)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("torsion-free", help="write the torsion-free representative")
     p.add_argument("spec")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=engine.DEFAULT_SEED)
     p.set_defaults(func=cmd_torsion_free)
 
     p = sub.add_parser("ranks", help="filtration ranks at a point")
     p.add_argument("spec")
     p.add_argument("--point", help="comma-separated chart coordinates")
     p.add_argument("--count", type=int, default=5, help="number of seeded points")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=engine.DEFAULT_SEED)
     p.set_defaults(func=cmd_ranks)
 
     p = sub.add_parser("integrate", help="integrate contact paths to CSV")

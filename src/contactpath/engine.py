@@ -20,7 +20,7 @@ Contact torsion is the closed form tau_i = 3 f_i + A_i(f0).  The bracket
 route pairs [[A_i, X], X] with theta(-1,-2), which gives tau again, and with
 theta(-2,-2), which gives zero.  Both identities are proved over generic
 2-jets of (f0, f) at each (n, omega) of `TORSION_IDENTITY_PROVED`, the
-standard omega at n = 3, 4 and 5; the bracket route is lazy, and it runs as
+standard omega at n = 3 to 7; the bracket route is lazy, and it runs as
 an exact cross-check of a polynomial spec only outside that set.
 
 The float-point checks (`filtration_ranks`, `semiregular_ranks`,
@@ -63,6 +63,7 @@ from .lowering import MonomialTable
 from .poly import Polynomial
 
 RANK_TOL = 1e-9
+DEFAULT_SEED = 42  # the seed of every sampler and of `Geometry.torsion`
 
 
 # --- spec ------------------------------------------------------------------
@@ -307,8 +308,8 @@ class Geometry:
 
     @cached_property
     def torsion(self):
-        """The contact torsion report at the default seed 42."""
-        return _torsion_report(self, 42)
+        """The contact torsion report at `DEFAULT_SEED`."""
+        return _torsion_report(self, DEFAULT_SEED)
 
     def filtration_fields(self):
         """Symbolic spanning fields for every filtration subbundle, built
@@ -513,7 +514,7 @@ def _c_refused(spec, point):
         return True
 
 
-def iter_seeded_points(spec, count, seed=42, avoid_c_zero=True):
+def iter_seeded_points(spec, count, seed=DEFAULT_SEED, avoid_c_zero=True):
     """Deterministic rational sample points in the chart of a spec, drawn
     one at a time from `Random(seed)`: a caller that stops early draws only
     the points it read, and the k-th point is the same however many follow.
@@ -536,13 +537,13 @@ def iter_seeded_points(spec, count, seed=42, avoid_c_zero=True):
         yield pt
 
 
-def seeded_points(spec, count, seed=42):
+def seeded_points(spec, count, seed=DEFAULT_SEED):
     """Deterministic rational sample points in the chart of a spec: the
     first `count` points of `iter_seeded_points`, as a list."""
     return list(iter_seeded_points(spec, count, seed))
 
 
-def contact_torsion(spec, seed=42):
+def contact_torsion(spec, seed=DEFAULT_SEED):
     """Contact torsion through the closed form (`closed_form_torsion`).
 
     The bracket route (`bracket_torsion`) is proved over generic 2-jets at
@@ -550,12 +551,12 @@ def contact_torsion(spec, seed=42):
     elsewhere it cross-checks a polynomial spec exactly.  The report at the
     default seed is built once per geometry (`Geometry.torsion`)."""
     geo = geometry(spec)
-    return geo.torsion if seed == 42 else _torsion_report(geo, seed)
+    return geo.torsion if seed == DEFAULT_SEED else _torsion_report(geo, seed)
 
 
 # (n, omega) where the bracket route's identities are proved over 2-jets
 TORSION_IDENTITY_PROVED = frozenset(
-    (n, graded_sp.middle_form(2 * n - 4)) for n in (3, 4, 5))
+    (n, graded_sp.middle_form(2 * n - 4)) for n in (3, 4, 5, 6, 7))
 
 
 def closed_form_torsion(geo):
@@ -641,7 +642,7 @@ def torsion_point_reduction(spec, point):
     return out
 
 
-def torsion_free_representative(spec, seed=42):
+def torsion_free_representative(spec, seed=DEFAULT_SEED):
     """The unique spec with the same contact data and vanishing torsion.
 
     Replaces f^i by f^i - (C/3) tau^i, where tau is the normalized torsion
@@ -924,9 +925,9 @@ def torsion_obstruction_values(spec, point):
 
 # --- random spec population --------------------------------------------------------
 
-def random_polynomial_spec(n, rng_or_seed, degree=3, torsion_free=False):
+def random_polynomial_spec(n, seed, degree=3, torsion_free=False):
     """Random sparse polynomial spec (C = 1) for sweeps and acceptance runs."""
-    rng = rng_or_seed if isinstance(rng_or_seed, Random) else Random(rng_or_seed)
+    rng = Random(seed)
     m = 2 * n - 4
     chart = fm.projective_chart(n)
     names = list(chart.names)

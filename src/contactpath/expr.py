@@ -46,8 +46,6 @@ class Expr:
     def coerce(x):
         if isinstance(x, Expr):
             return x
-        if isinstance(x, Polynomial):
-            return poly_to_expr(x)
         return Num(Fraction(x) if not isinstance(x, float) else x)
 
     def __add__(self, other):

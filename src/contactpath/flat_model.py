@@ -22,6 +22,7 @@ engine's non-polynomial geometries.
 
 import functools
 import itertools
+import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,7 +306,7 @@ def _add_oriented(out, a, b, term):
     out[key] = term if key not in out else out[key] + term
 
 
-def eval_wedge_of_two_forms(forms, counts, size):
+def eval_wedge_of_two_forms(forms, counts):
     """Evaluate forms[0]^counts[0] ^ forms[1]^counts[1] ^ ... on vectors
     v_1..v_size, size twice the number of factors; each form is given by its
     Gram matrix Omega(v_i, v_j).
@@ -318,7 +319,7 @@ def eval_wedge_of_two_forms(forms, counts, size):
     chosen for each pair; a form left c times can fill it in c ways.  The
     sum is memoized on the used vectors and the factors left.
     """
-    assert size == 2 * sum(counts)
+    size = 2 * sum(counts)
     partners = [
         [(j, t, g[i][j]) for j in range(i + 1, size) for t, g in enumerate(forms) if g[i][j]]
         for i in range(size)
@@ -580,36 +581,24 @@ def qk_psi_power_nonzero(n, k):
     Psi = sum over permutations alpha, beta of {1..k} of sgn alpha sgn beta
     Omega_{alpha_1 beta_1} ^ ... ^ Omega_{alpha_k beta_k}, with Omega_ba =
     Omega_ab.  Two-forms commute under ^, so Psi and its power are
-    polynomials in the Omega_ab (a <= b): equal monomials are grouped, and
-    each monomial of Psi^{n-k} is evaluated once as a true wedge on the
-    full spanning set of fields at the chart origin.
+    polynomials in one variable per Omega_ab (a <= b): each monomial of
+    Psi^{n-k} is evaluated once as a true wedge, its exponents the
+    multiplicities, on the full spanning set of fields at the chart origin.
     """
     grams = _origin_grams(qk_forms(n, k))
+    names = {key: f"Omega{key[0]}_{key[1]}" for key in grams}
 
     def sgn(perm):
         return (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
 
-    def times(f, g):
-        # monomials are sorted tuples of Omega keys
-        out = {}
-        for mf, cf in f.items():
-            for mg, cg in g.items():
-                mono = tuple(sorted(mf + mg))
-                out[mono] = out.get(mono, 0) + cf * cg
-        return {mono: c for mono, c in out.items() if c}
-
     perms = list(itertools.permutations(range(1, k + 1)))
-    psi = {}
-    for alphas in perms:
-        for betas in perms:
-            mono = tuple(sorted((min(a, b), max(a, b)) for a, b in zip(alphas, betas)))
-            psi[mono] = psi.get(mono, 0) + sgn(alphas) * sgn(betas)
-    power = {(): 1}
-    for _ in range(n - k):
-        power = times(power, psi)
-    forms, size = list(grams.values()), 2 * k * (n - k)
-    total = sum(c * eval_wedge_of_two_forms(forms, [mono.count(key) for key in grams], size)
-                for mono, c in power.items())
+    psi = sum((sgn(alphas) * sgn(betas)
+               * math.prod(Polynomial.variable(names[min(a, b), max(a, b)])
+                           for a, b in zip(alphas, betas))
+               for alphas in perms for betas in perms), PZERO)
+    forms = list(grams.values())
+    total = sum(c * eval_wedge_of_two_forms(forms, [dict(mono).get(names[key], 0) for key in grams])
+                for mono, c in (psi ** (n - k)).terms.items())
     return total != 0
 
 

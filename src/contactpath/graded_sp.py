@@ -27,7 +27,8 @@ from .errors import InconsistencyError, InvalidParabolicError, UnsupportedDimens
 from . import exactlinalg as ela
 
 P1, P2, P12 = "P1", "P2", "P12"
-_PARABOLICS = (P1, P2, P12)
+# each parabolic by its crossed nodes of C_n; node k is the scaling element Ek
+PARABOLIC_NODES = {P1: (1,), P2: (2,), P12: (1, 2)}
 
 
 def standard_omega(m):
@@ -122,8 +123,8 @@ class GradedLieAlgebra:
     """Basis of sp(n, R), each element tagged with its Z^2-bidegree."""
 
     def __init__(self, n, parabolic=P12, omega=None):
-        if parabolic not in _PARABOLICS:
-            raise InvalidParabolicError(f"parabolic must be one of {_PARABOLICS}")
+        if parabolic not in PARABOLIC_NODES:
+            raise InvalidParabolicError(f"parabolic must be one of {tuple(PARABOLIC_NODES)}")
         if parabolic == P12 and n < 3:
             raise UnsupportedDimensionError(
                 "P12 grading requires n >= 3 (the three-dimensional theory is excluded)"
@@ -226,12 +227,9 @@ class GradedLieAlgebra:
         return [b for b in self.basis if b.bidegree == bidegree]
 
     def z_degree(self, bidegree):
-        """Degree of a bidegree in the grading induced by this parabolic."""
-        if self.parabolic == P1:
-            return bidegree[0]
-        if self.parabolic == P2:
-            return bidegree[1]
-        return bidegree[0] + bidegree[1]
+        """Degree of a bidegree in the grading induced by this parabolic: the
+        sum of its entries over the crossed nodes."""
+        return sum(bidegree[k - 1] for k in PARABOLIC_NODES[self.parabolic])
 
     def element_matrix(self, coeffs):
         """Dense matrix of sum_i coeffs[name] * basis[name]."""

@@ -48,11 +48,9 @@ class Trajectory:
     secondary_residual: np.ndarray
 
     def header(self):
-        m = self.spec.m
-        cols = ["t", "x_inf", "x0"] + [f"x{i}" for i in range(1, m + 1)]
-        cols += ["z", "u0"] + [f"u{i}" for i in range(1, m + 1)]
-        cols += ["contact_residual", "secondary_residual"]
-        return cols
+        """The CSV columns: t, then the chart's coordinates with t named x_inf."""
+        names = self.spec.chart().names
+        return ["t", "x_inf", *names[1:], "contact_residual", "secondary_residual"]
 
     def write_csv(self, path_or_file):
         """CSV text as `csv.writer` writes it: `repr` of each float, CRLF line

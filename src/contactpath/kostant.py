@@ -24,9 +24,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import HousingAmbiguityError, InvalidParabolicError, UnsupportedDimensionError
+from .graded_sp import PARABOLIC_NODES
 from .lie_core import Weight, build_root_system
-
-PARABOLIC_NODES = {"P1": (1,), "P2": (2,), "P12": (1, 2)}
 
 
 @dataclass(frozen=True)

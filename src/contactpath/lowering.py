@@ -161,15 +161,24 @@ class _Emitter:
         raise TypeError(f"cannot lower {type(node).__name__}")
 
 
+# the rerun's functions: numpy's, on the float of a possibly exact argument
+_NUMPY_FUNCTIONS = {
+    "exp": lambda x: np.exp(float(x)),
+    "sin": lambda x: np.sin(float(x)),
+    "cos": lambda x: np.cos(float(x)),
+}
+
+
 def compile_exprs(exprs, names):
     """One function `values(s)` giving `[e.evaluate(env) for e in exprs]`,
     env the chart values `s` (a list of floats in `names` order), bitwise.
 
     A root with no variable gives `float` of its exact value, which
     `evaluate({})` returns.  Python floats raise OverflowError in `**`
-    where numpy scalars give inf; the tree walk then reruns on numpy scalars,
-    with numpy's floating-point warnings off, and returns `float` of each
-    value (the same double).
+    where numpy scalars give inf, and `math.exp` raises it where `np.exp`
+    gives inf; the tree walk then reruns on numpy scalars, with numpy's
+    `exp`, `sin` and `cos` and its floating-point warnings off, and returns
+    `float` of each value (the same double).
     """
     names = tuple(names)
     em = _Emitter({nm: i for i, nm in enumerate(names)})
@@ -193,6 +202,7 @@ def compile_exprs(exprs, names):
             return fast(s)
         except OverflowError:
             env = {nm: np.float64(v) for nm, v in zip(names, s)}
+            env.update(_NUMPY_FUNCTIONS)
             with np.errstate(all="ignore"):
                 return [float(e.evaluate(env)) for e in exprs]
 

@@ -74,8 +74,6 @@ class Polynomial:
         return seen
 
     def __add__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
-            return NotImplemented  # lets expression trees absorb polynomials
         other = Polynomial.coerce(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
@@ -92,18 +90,12 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
-            return NotImplemented
         return self + (-Polynomial.coerce(other))
 
     def __rsub__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
-            return NotImplemented
         return Polynomial.coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
-            return NotImplemented
         other = Polynomial.coerce(other)
         if not self.terms or not other.terms:
             return Polynomial()

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from contactpath import engine
-from contactpath.cli import INTERNAL_ERROR, main
+from contactpath.cli import INTERNAL_ERROR, build_parser, main
 from contactpath.errors import DegeneratePointError
 
 SPEC_TORSION = '{"n": 3, "f0": "u1^3", "f": ["0", "0"]}'
@@ -40,6 +40,26 @@ def test_homology_bad_cross(capsys):
     code, _, err = run_cli(["homology", "--n", "4", "--cross", "3"], capsys)
     assert code == 2
     assert "unsupported" in err
+
+
+def test_homology_non_numeric_cross(capsys):
+    assert run_cli(["homology", "--n", "3", "--cross", "a"], capsys) == (
+        2, "", "--cross expects comma-separated node numbers, got 'a'\n")
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    build_parser.cache_clear()
+    argv = ["homology", "--n", "4", "--cross", "1,2"]
+    first = run_cli(argv, capsys)
+    assert run_cli(["homology", "--n", "four", "--cross", "1,2"], capsys)[0] == 2
+    assert run_cli(argv, capsys) == first
+    assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [["torsion", "s.json"], ["torsion-free", "s.json", "-o", "o.json"],
+                                  ["ranks", "s.json"]])
+def test_seed_defaults_to_the_engine_default(argv):
+    assert build_parser().parse_args(argv).seed == engine.DEFAULT_SEED
 
 
 def test_brackets_report(capsys):
@@ -468,6 +488,29 @@ def test_integrate_blow_up_is_a_verification_failure(tmp_path, run_python):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("spec, code, err", [
+    ({"C": "exp(1000*u1)", "f0": "0", "f": ["0", "0"]}, 1,
+     "error: the state is not finite at t = 0.001\n"),
+    ({"C": "exp(1000)", "f0": "0", "f": ["0", "0"]}, 1,
+     "error: the state is not finite at t = 0.001\n"),
+    ({"f0": "0", "f": ["sin(exp(1000*u1))", "0"]}, 1,
+     "error: the state is not finite at t = 0.001\n"),
+    ({"f0": "1/exp(1000*u1)", "f": ["0", "0"]}, 0, ""),
+])
+def test_integrate_overflowing_function_follows_numpy(spec, code, err, tmp_path, capsys):
+    # math.exp raises OverflowError where numpy's exp gives inf
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 3, **spec}))
+    out_csv = tmp_path / "out.csv"
+    got, out, got_err = run_cli(["integrate", str(path), "--init", "0,0,0,0,0,0,1,0",
+                                 "-o", str(out_csv)], capsys)
+    assert (got, got_err) == (code, err)
+    if code == 0:
+        assert out.startswith(f"wrote {out_csv}: 1001 samples")
+    else:
+        assert out == "" and not out_csv.exists()
+
+
 def test_integrate_step_underflow_is_a_verification_failure(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(SPEC_FLAT)
@@ -585,19 +628,23 @@ def test_quat_output_unchanged(capsys):
     ("1/(1+e)", "quat: element of norm 0 has no inverse\n"),
     ("(1 + f)^-1", "quat: element of norm 0 has no inverse\n"),
     ("1e400*j", "quat: number '1e400' is not finite (at offset 0)\n"),
+    # a float component that overflows, whichever operation made it
+    ("1e300*1e300*j", "quat: the value overflows a float\n"),
+    ("(1e300*j)*(1e300*j)", "quat: the value overflows a float\n"),
+    ("1.5^2000*j", "quat: the value overflows a float\n"),
 ])
 def test_quat_undefined_values_are_usage_errors(expression, err, capsys):
     assert run_cli(["quat", expression], capsys) == (2, "", err)
 
 
 def test_quat_scalar_overflow_is_a_usage_error(capsys):
-    # a quaternion power multiplies out and may reach inf; a scalar power
-    # is a float power, which raises
+    # a scalar power is a float power, which raises; a quaternion power
+    # multiplies out and reaches inf, which is refused the same way
     code, out, err = run_cli(["quat", "1.5^2000"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("quat: ")
-    code, out, _ = run_cli(["quat", "(1.5*j)^2000"], capsys)
-    assert code == 0 and out.startswith("inf\n")
+    assert run_cli(["quat", "(1.5*j)^2000"], capsys) == (
+        2, "", "quat: the value overflows a float\n")
 
 
 def test_quat_underflowing_literal_is_accepted(capsys):

@@ -230,6 +230,13 @@ def test_cubic_spec_torsion():
     assert any(v != 0 for v in vals)
 
 
+def test_default_seed_report_is_the_geometry_torsion():
+    spec = spec_from_dict({"n": 3, "f0": "u1^3", "f": ["0", "0"]})
+    assert contact_torsion(spec) is geometry(spec).torsion
+    assert contact_torsion(spec, seed=engine.DEFAULT_SEED) is geometry(spec).torsion
+    assert contact_torsion(spec, seed=engine.DEFAULT_SEED + 1) is not geometry(spec).torsion
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_two_route_agreement_symbolic(n, seed):

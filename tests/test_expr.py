@@ -6,6 +6,7 @@ import pytest
 
 from contactpath import expr as ex
 from contactpath.errors import ExprEvalError, ExprNameError, ExprSyntaxError
+from contactpath.poly import Polynomial
 
 
 def test_product_plus_constant_tree():
@@ -207,3 +208,14 @@ def test_evaluate_applies_a_function_the_environment_binds():
                           "sin": lambda x: x}) == Fraction(7)
     # chart values alone leave the built-in functions in place
     assert ex.parse("sin(u1)", {"u1"}).evaluate({"u1": 0.5}) == math.sin(0.5)
+
+
+@pytest.mark.parametrize("op", ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"])
+def test_polynomials_and_trees_do_not_mix(op):
+    # a geometry keeps its ring elements in one ring, so nothing converts
+    # between the two; a mix is a TypeError either way round
+    p, e = Polynomial.variable("x"), ex.parse("x", {"x"})
+    with pytest.raises(TypeError):
+        getattr(p, op)(e)
+    with pytest.raises(TypeError):
+        getattr(e, op)(p)

@@ -97,13 +97,13 @@ def wedge_inputs(draw):
 @given(wedge_inputs(), st.randoms(use_true_random=False))
 def test_wedge_matches_the_shuffle_sum_in_any_factor_order(inputs, rnd):
     forms, counts, size = inputs
-    value = fm.eval_wedge_of_two_forms(forms, counts, size)
+    value = fm.eval_wedge_of_two_forms(forms, counts)
     factors = [g for g, c in zip(forms, counts) for _ in range(c)]
     assert value == shuffle_sum(factors, size)
     order = list(range(len(forms)))
     rnd.shuffle(order)
-    assert fm.eval_wedge_of_two_forms([forms[t] for t in order], [counts[t] for t in order],
-                                      size) == value
+    assert fm.eval_wedge_of_two_forms([forms[t] for t in order],
+                                      [counts[t] for t in order]) == value
 
 
 def test_wedge_of_two_forms_commutes():
@@ -111,8 +111,8 @@ def test_wedge_of_two_forms_commutes():
     # the k-th smallest vector gives 0 on (A, B) and 14 on (B, A)
     a = [[0, 1, 2, 0], [-1, 0, 3, 1], [-2, -3, 0, 2], [0, -1, -2, 0]]
     b = [[0, 2, -1, 3], [-2, 0, 1, 1], [1, -1, 0, 2], [-3, -1, -2, 0]]
-    ab = fm.eval_wedge_of_two_forms([a, b], [1, 1], 4)
-    assert ab == fm.eval_wedge_of_two_forms([b, a], [1, 1], 4) == shuffle_sum([a, b], 4) == 14
+    ab = fm.eval_wedge_of_two_forms([a, b], [1, 1])
+    assert ab == fm.eval_wedge_of_two_forms([b, a], [1, 1]) == shuffle_sum([a, b], 4) == 14
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 3), (5, 3), (5, 4)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from contactpath import exactlinalg as ela
-from contactpath.errors import InconsistencyError, UnsupportedDimensionError
+from contactpath.errors import InconsistencyError, InvalidParabolicError, UnsupportedDimensionError
 from contactpath.graded_sp import BasisElement, G0Element, build
 
 from conftest import RATIONAL_OMEGAS
@@ -374,3 +374,16 @@ def test_graded_automorphism_matches_adjoint_action(rng):
         assert g.adjoint_g0(el, {name: 1}) == {
             k: v for k, v in cand[name].items() if v
         }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_z_degree_sums_the_bidegree_over_the_crossed_nodes(n):
+    for parabolic, pick in (("P1", lambda b: b[0]), ("P2", lambda b: b[1]),
+                            ("P12", lambda b: b[0] + b[1])):
+        g = build(n, parabolic)
+        assert all(g.z_degree(b.bidegree) == pick(b.bidegree) for b in g.basis)
+
+
+def test_unknown_parabolic_is_refused_with_the_table():
+    with pytest.raises(InvalidParabolicError, match=r"^parabolic must be one of \('P1', 'P2', 'P12'\)$"):
+        build(4, "P3")

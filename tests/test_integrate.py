@@ -85,6 +85,17 @@ def test_csv_output_schema():
     assert float(first[2]) == 0.3
 
 
+@pytest.mark.parametrize("n, columns", [
+    (3, "t x_inf x0 x1 x2 z u0 u1 u2"),
+    (4, "t x_inf x0 x1 x2 x3 x4 z u0 u1 u2 u3 u4"),
+    (5, "t x_inf x0 x1 x2 x3 x4 x5 x6 z u0 u1 u2 u3 u4 u5 u6"),
+    (6, "t x_inf x0 x1 x2 x3 x4 x5 x6 x7 x8 z u0 u1 u2 u3 u4 u5 u6 u7 u8"),
+])
+def test_csv_header_is_the_chart_order(n, columns):
+    traj = integrate_mod.Trajectory(flat_spec(n), None, None, None, None)
+    assert traj.header() == columns.split() + ["contact_residual", "secondary_residual"]
+
+
 def test_init_as_sequence_and_validation():
     traj = integrate(flat_spec(3), [0, 0.3, 0.1, -0.2, 0.5, 0.7, 0.4, -0.3], 0.0, 0.01, 1e-2)
     assert len(traj.t) == 2

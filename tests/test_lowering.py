@@ -53,3 +53,8 @@ def test_variable_free_root_is_the_float_of_its_exact_value():
     assert node.evaluate({}) == Fraction(-8)
     assert compile_exprs([node], NAMES)([0.0, 0.0]) == [-8.0]
     assert compile_exprs([ex.parse("log(3)", NAMES)], NAMES)([0.0, 0.0]) == [math.log(3)]
+
+
+def test_overflow_rerun_applies_numpy_functions():
+    # math.exp raises at 1000 where np.exp gives inf, so 1/exp(x) is 0.0
+    assert compile_exprs([ex.parse("1/exp(x)", NAMES)], NAMES)([1000.0, 0.0]) == [0.0]
